@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from typing import Sequence
 
 from .core import Space, spectrum
 from .errors import FormatMismatch
@@ -30,17 +31,22 @@ def node_codes(tree: RootedTree, mode: str = "labeled") -> tuple[str, ...]:
     if cached is not None:
         return cached
     if mode == "rank_labeled":
-        ranks = {l: i for i, l in enumerate(sorted(set(tree.labels)))}
-        token = lambda v: str(ranks[tree.labels[v]])
+        ranks = {l: str(i) for i, l in enumerate(sorted(set(tree.labels)))}
+        tokens = [ranks[l] for l in tree.labels]
     else:
-        token = lambda v: ""
-    code = [""] * tree.n_nodes
-    for v in tree.postorder():
-        inner = ",".join(sorted(code[c] for c in tree.children[v]))
-        code[v] = token(v) + "(" + inner + ")"
-    out = tuple(code)
+        tokens = [""] * tree.n_nodes
+    out = codes_from_tokens(tree, tokens)
     tree._code_cache[mode] = out
     return out
+
+
+def codes_from_tokens(tree: RootedTree, tokens: Sequence[str]) -> tuple[str, ...]:
+    """Bottom-up codes: node v reads ``tokens[v]`` followed by its
+    children's codes, sorted, in parentheses."""
+    code = [""] * tree.n_nodes
+    for v in tree.postorder():
+        code[v] = tokens[v] + "(" + ",".join(sorted(code[c] for c in tree.children[v])) + ")"
+    return tuple(code)
 
 
 def canonical_code(tree: RootedTree, mode: str = "labeled") -> str:

@@ -5,7 +5,9 @@ the theory provides one, an independent oracle working directly on the
 distance matrix or the level graphs.  ``audit_equivalences`` runs every
 structural/oracle pair and every multi-condition characterization on one
 space and reports any disagreement; an empty result certifies the space
-against the whole catalog.
+against the whole catalog.  One ordered table, ``_CLASSES``, names every
+class and drives ``classify``, ``membership`` and the audit's structural
+legs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .canonical import are_isometric, canonical_code, count_self_isometries
+from .canonical import are_isometric, canonical_code, codes_from_tokens, count_self_isometries
 from .core import Space, Verdict, diameter, point_spectrum, restrict, spectrum
 from .errors import (
     FormatMismatch,
@@ -42,23 +44,6 @@ from .unrooted import (
 HAMILTON_ORACLE_LIMIT = 7
 SHAPE_SPECTRUM_ORACLE_LIMIT = 6  # internal nodes
 
-CLASS_IDS = (
-    "gomory_hu_extremal",
-    "injective_labels",
-    "strictly_binary",
-    "strictly_nary",
-    "rigid",
-    "inner_chain",
-    "inner_chain_equal_tail",
-    "shape_spectrum_determined",
-    "homogeneous",
-    "leaves_same_level",
-    "labels_same_level",
-    "perfect_nary",
-    "ball_preserving",
-    "unrooted_generated",
-)
-
 
 # --------------------------------------------------------------- spectra
 
@@ -67,7 +52,7 @@ def is_gomory_hu_extremal(space: Space) -> Verdict:
     """True iff the space attains |Sp(X)| = |X|, the Gomory-Hu upper bound."""
     n = len(space)
     if n < 2:
-        raise SingletonSpace("gomory_hu_extremal")
+        raise SingletonSpace("is_gomory_hu_extremal")
     k = len(spectrum(space))
     return Verdict(k == n, witness={"points": n, "spectrum_size": k})
 
@@ -86,10 +71,7 @@ def has_injective_internal_labels(tree: RootedTree) -> Verdict:
 
 
 def is_strictly_binary(tree: RootedTree) -> Verdict:
-    for v in tree.internal_nodes():
-        if tree.out_degree(v) != 2:
-            return Verdict(False, witness={"node": v, "out_degree": tree.out_degree(v)})
-    return Verdict(True)
+    return is_strictly_nary(tree, 2)
 
 
 def strict_arity(tree: RootedTree) -> int | None:
@@ -109,8 +91,23 @@ def is_strictly_nary(tree: RootedTree, n: int) -> Verdict:
     return Verdict(True)
 
 
-def _internal_count_by_level(tree: RootedTree) -> Counter:
-    return Counter(tree.level(v) for v in tree.internal_nodes())
+def _chain_with_tail(tree: RootedTree, tail_nodes: int | None) -> Verdict:
+    """One internal node on every level above the last internal level, which
+    holds at most ``tail_nodes`` internal nodes (None: any number), all of
+    one out-degree.  The witness names the first level that fails."""
+    internals = tree.internal_nodes()
+    counts = Counter(tree.level(v) for v in internals)
+    h = height(tree) if tree.n_nodes > 1 else 0
+    for lv in range(h - 1):
+        if counts[lv] != 1:
+            return Verdict(False, witness={"level": lv, "internal_nodes": counts[lv]})
+    if h >= 1 and counts[h - 1] > 1:
+        if tail_nodes is not None and counts[h - 1] > tail_nodes:
+            return Verdict(False, witness={"level": h - 1, "internal_nodes": counts[h - 1]})
+        tail = {tree.out_degree(v) for v in internals if tree.level(v) == h - 1}
+        if len(tail) > 1:
+            return Verdict(False, witness={"level": h - 1, "out_degrees": sorted(tail)})
+    return Verdict(True)
 
 
 def has_inner_chain(tree: RootedTree) -> Verdict:
@@ -119,27 +116,13 @@ def has_inner_chain(tree: RootedTree) -> Verdict:
     The internal nodes then form a single root chain.  Trees of height
     zero or one satisfy the condition vacuously.
     """
-    counts = _internal_count_by_level(tree)
-    h = height(tree) if tree.n_nodes > 1 else 0
-    for lv in range(h):
-        if counts.get(lv, 0) != 1:
-            return Verdict(False, witness={"level": lv, "internal_nodes": counts.get(lv, 0)})
-    return Verdict(True)
+    return _chain_with_tail(tree, 1)
 
 
 def has_inner_chain_equal_tail(tree: RootedTree) -> Verdict:
     """One internal node per level below the last internal level; equal
     out-degrees across that last internal level."""
-    counts = _internal_count_by_level(tree)
-    h = height(tree) if tree.n_nodes > 1 else 0
-    for lv in range(h - 1):
-        if counts.get(lv, 0) != 1:
-            return Verdict(False, witness={"level": lv, "internal_nodes": counts.get(lv, 0)})
-    if h >= 1:
-        tail = [tree.out_degree(v) for v in tree.internal_nodes() if tree.level(v) == h - 1]
-        if len(set(tail)) > 1:
-            return Verdict(False, witness={"level": h - 1, "out_degrees": sorted(set(tail))})
-    return Verdict(True)
+    return _chain_with_tail(tree, None)
 
 
 def is_rigid(tree: RootedTree) -> Verdict:
@@ -279,9 +262,9 @@ def brute_force_ballean(space: Space) -> set[frozenset[str]]:
     """All closed balls, computed directly from the matrix."""
     pts = space.points
     out = set()
-    for i, _c in enumerate(pts):
-        row = space.dist[i]
-        for r in spectrum(space):
+    sp = spectrum(space)
+    for row in space.dist:
+        for r in sp:
             out.add(frozenset(pts[j] for j in range(len(pts)) if row[j] <= r))
     return out
 
@@ -394,18 +377,7 @@ def shape_spectrum_guarantee(tree: RootedTree) -> Verdict:
     """Shape condition under which every labeling is determined by its
     spectrum: one internal node per level except the last internal level,
     which may hold at most two with equal out-degrees."""
-    counts = _internal_count_by_level(tree)
-    h = height(tree) if tree.n_nodes > 1 else 0
-    for lv in range(h - 1):
-        if counts.get(lv, 0) != 1:
-            return Verdict(False, witness={"level": lv, "internal_nodes": counts.get(lv, 0)})
-    if h >= 1:
-        tail = [tree.out_degree(v) for v in tree.internal_nodes() if tree.level(v) == h - 1]
-        if len(tail) > 2:
-            return Verdict(False, witness={"level": h - 1, "internal_nodes": len(tail)})
-        if len(set(tail)) > 1:
-            return Verdict(False, witness={"level": h - 1, "out_degrees": sorted(set(tail))})
-    return Verdict(True)
+    return _chain_with_tail(tree, 2)
 
 
 def shape_spectrum_injective_criterion(tree: RootedTree) -> Verdict:
@@ -423,7 +395,7 @@ def shape_spectrum_oracle(space: Space, tree: RootedTree | None = None) -> bool:
     internals = tree.internal_nodes()
     if len(internals) > SHAPE_SPECTRUM_ORACLE_LIMIT:
         raise TooLarge("shape-spectrum oracle", len(internals), SHAPE_SPECTRUM_ORACLE_LIMIT)
-    values = spectrum(space)[1:]
+    values = [str(v) for v in spectrum(space)[1:]]
     base = canonical_code(tree, "labeled")
     if not internals:
         return True
@@ -434,26 +406,18 @@ def shape_spectrum_oracle(space: Space, tree: RootedTree | None = None) -> bool:
     k = len(internals)
     m = len(values)
     assignment = [0] * k  # indices into ``values``
-
-    def relabel_code() -> str:
-        code: dict[int, str] = {}
-        for v in tree.postorder():
-            if tree.is_leaf(v):
-                code[v] = "0()"
-            else:
-                inner = ",".join(sorted(code[c] for c in tree.children[v]))
-                code[v] = str(values[assignment[pos[v]]]) + "(" + inner + ")"
-        return code[tree.root]
+    tokens = ["0"] * tree.n_nodes  # leaves keep label 0
 
     def walk(slot: int) -> bool:
         if slot == k:
             if len(set(assignment)) == m:
-                if relabel_code() != base:
+                if codes_from_tokens(tree, tokens)[tree.root] != base:
                     return False
             return True
         top = m if parent_slot[slot] < 0 else assignment[parent_slot[slot]]
         for idx in range(top):
             assignment[slot] = idx
+            tokens[internals[slot]] = values[idx]
             if not walk(slot + 1):
                 return False
         return True
@@ -481,7 +445,33 @@ def is_shape_spectrum_determined(space: Space, tree: RootedTree | None = None) -
     return Verdict(bool(res), witness={"basis": "shape_guarantee", "exact": bool(res), "detail": res.witness})
 
 
-# ----------------------------------------------------------- membership
+# -------------------------------------------------------------- catalog
+
+
+def _arity_verdict(arity: int | None, least: int) -> Verdict:
+    return Verdict(arity is not None and arity >= least, witness={"arity": arity})
+
+
+# Every class, in report order, with one test of (space, tree) whose witness
+# is the class certificate.  Each entry looks its predicate up by module name
+# when called, so a rebound name (a timing wrapper, say) is honored.
+_CLASSES = {
+    "gomory_hu_extremal": lambda space, tree: is_gomory_hu_extremal(space),
+    "injective_labels": lambda space, tree: has_injective_internal_labels(tree),
+    "strictly_binary": lambda space, tree: is_strictly_binary(tree),
+    "strictly_nary": lambda space, tree: _arity_verdict(strict_arity(tree), 3),
+    "rigid": lambda space, tree: is_rigid(tree),
+    "inner_chain": lambda space, tree: has_inner_chain(tree),
+    "inner_chain_equal_tail": lambda space, tree: has_inner_chain_equal_tail(tree),
+    "shape_spectrum_determined": lambda space, tree: is_shape_spectrum_determined(space, tree),
+    "homogeneous": lambda space, tree: is_homogeneous(tree),
+    "leaves_same_level": lambda space, tree: leaves_same_level(tree),
+    "labels_same_level": lambda space, tree: labels_same_level(tree),
+    "perfect_nary": lambda space, tree: _arity_verdict(perfect_nary_arity(tree), 2),
+    "ball_preserving": lambda space, tree: ball_preserving_structure(tree),
+    "unrooted_generated": lambda space, tree: has_leaf_child_everywhere(tree),
+}
+CLASS_IDS = tuple(_CLASSES)
 
 
 def membership(class_id: str, space: Space, tree: RootedTree | None = None) -> bool:
@@ -491,43 +481,14 @@ def membership(class_id: str, space: Space, tree: RootedTree | None = None) -> b
         raise UnknownClass(class_id)
     if tree is None:
         tree = build_representing_tree(space)
-    if class_id == "gomory_hu_extremal":
-        return bool(is_gomory_hu_extremal(space))
-    if class_id == "injective_labels":
-        return bool(has_injective_internal_labels(tree))
-    if class_id == "strictly_binary":
-        return bool(is_strictly_binary(tree))
-    if class_id == "strictly_nary":
-        n = strict_arity(tree)
-        return n is not None and n >= 3
-    if class_id == "rigid":
-        return bool(is_rigid(tree))
-    if class_id == "inner_chain":
-        return bool(has_inner_chain(tree))
-    if class_id == "inner_chain_equal_tail":
-        return bool(has_inner_chain_equal_tail(tree))
-    if class_id == "shape_spectrum_determined":
-        verdict = is_shape_spectrum_determined(space, tree)
-        if not verdict.witness.get("exact", False) and not verdict.ok:
-            raise TooLarge(
-                "shape-spectrum membership",
-                len(tree.internal_nodes()),
-                SHAPE_SPECTRUM_ORACLE_LIMIT,
-            )
-        return verdict.ok
-    if class_id == "homogeneous":
-        return bool(is_homogeneous(tree))
-    if class_id == "leaves_same_level":
-        return bool(leaves_same_level(tree))
-    if class_id == "labels_same_level":
-        return bool(labels_same_level(tree))
-    if class_id == "perfect_nary":
-        return perfect_nary_arity(tree) is not None
-    if class_id == "ball_preserving":
-        return bool(ball_preserving_structure(tree))
-    if class_id == "unrooted_generated":
-        return bool(has_leaf_child_everywhere(tree))
-    raise UnknownClass(class_id)
+    verdict = _CLASSES[class_id](space, tree)
+    if not verdict and isinstance(verdict.witness, dict) and verdict.witness.get("exact") is False:
+        raise TooLarge(
+            "shape-spectrum membership",
+            len(tree.internal_nodes()),
+            SHAPE_SPECTRUM_ORACLE_LIMIT,
+        )
+    return bool(verdict)
 
 
 @dataclass(frozen=True)
@@ -544,40 +505,9 @@ class ClassReport:
     extras: dict
 
 
-def classify(space: Space) -> ClassReport:
-    """Verdict plus certificate for every class in the catalog."""
-    if len(space) < 2:
-        raise SingletonSpace("classify")
-    tree = build_representing_tree(space)
-    sp = spectrum(space)
-    out: dict[str, ClassVerdict] = {}
-
-    def put(cid: str, verdict: Verdict):
-        if isinstance(verdict.witness, dict):
-            cert = verdict.witness
-        elif verdict.witness is None:
-            cert = {}
-        else:
-            cert = {"witness": verdict.witness}
-        out[cid] = ClassVerdict(bool(verdict), cert)
-
-    put("gomory_hu_extremal", is_gomory_hu_extremal(space))
-    put("injective_labels", has_injective_internal_labels(tree))
-    put("strictly_binary", is_strictly_binary(tree))
-    n = strict_arity(tree)
-    out["strictly_nary"] = ClassVerdict(n is not None and n >= 3, {"arity": n})
-    put("rigid", is_rigid(tree))
-    put("inner_chain", has_inner_chain(tree))
-    put("inner_chain_equal_tail", has_inner_chain_equal_tail(tree))
-    put("shape_spectrum_determined", is_shape_spectrum_determined(space, tree))
-    put("homogeneous", is_homogeneous(tree))
-    put("leaves_same_level", leaves_same_level(tree))
-    put("labels_same_level", labels_same_level(tree))
-    pa = perfect_nary_arity(tree)
-    out["perfect_nary"] = ClassVerdict(pa is not None, {"arity": pa})
-    put("ball_preserving", ball_preserving_structure(tree))
-    put("unrooted_generated", has_leaf_child_everywhere(tree))
-
+def _evaluate(space: Space, tree: RootedTree) -> tuple[dict[str, Verdict], dict]:
+    """Every class verdict, in catalog order, and the report extras."""
+    verdicts = {cid: test(space, tree) for cid, test in _CLASSES.items()}
     extras = {
         "height": height(tree),
         "max_out_degree": max_out_degree(tree),
@@ -585,7 +515,25 @@ def classify(space: Space) -> ClassReport:
         "level_graphs_cover_all_points": level_graphs_cover_all_points(space),
         "ball_count": tree.n_nodes,
     }
-    return ClassReport(points=len(space), spectrum=sp, classes=out, extras=extras)
+    return verdicts, extras
+
+
+def classify(space: Space) -> ClassReport:
+    """Verdict plus certificate for every class in the catalog."""
+    if len(space) < 2:
+        raise SingletonSpace("classify")
+    tree = build_representing_tree(space)
+    verdicts, extras = _evaluate(space, tree)
+    out: dict[str, ClassVerdict] = {}
+    for cid, verdict in verdicts.items():
+        if isinstance(verdict.witness, dict):
+            cert = verdict.witness
+        elif verdict.witness is None:
+            cert = {}
+        else:
+            cert = {"witness": verdict.witness}
+        out[cid] = ClassVerdict(bool(verdict), cert)
+    return ClassReport(points=len(space), spectrum=spectrum(space), classes=out, extras=extras)
 
 
 # ---------------------------------------------------------------- audit
@@ -639,6 +587,10 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
     if n < 2:
         raise SingletonSpace("audit_equivalences")
     tree = build_representing_tree(space)
+    verdicts, extras = _evaluate(space, tree)
+    # structural legs, in catalog order
+    (extremal, injective, binary, nary, rigid, chain, chain_tail, shape,
+     homogeneous, leaf_levels, label_levels, perfect, _, leafy) = verdicts.values()
     sp = spectrum(space)
     positives = sp[1:]
     out: list[Discrepancy] = []
@@ -659,17 +611,15 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
         r: [complete_multipartite_parts(c) for c in comps[r]] for r in positives
     }
     bballs = brute_force_ballean(space)
-    binary = bool(is_strictly_binary(tree))
-    injective = bool(has_injective_internal_labels(tree))
 
     # spectrum size extremal: three equivalent faces
     check(
         "gomory_hu_extremal_equivalences",
-        spectrum_count=(len(sp) == n),
+        spectrum_count=extremal.ok,
         complete_bipartite_levels=all(
             whole_parts[r] is not None and len(whole_parts[r]) == 2 for r in positives
         ),
-        binary_with_injective_labels=(binary and injective),
+        binary_with_injective_labels=(binary.ok and injective.ok),
     )
 
     # injective internal labels: five equivalent faces
@@ -678,7 +628,7 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
     ]
     check(
         "injective_labels_equivalences",
-        injective=injective,
+        injective=injective.ok,
         complete_multipartite_levels=all(whole_parts[r] is not None for r in positives),
         connected_levels=all(len(comps[r]) == 1 for r in positives),
         distinct_ball_diameters=(len(ball_diams) == len(set(ball_diams))),
@@ -687,7 +637,7 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
 
     # strictly binary: structural, equilateral-free, Hamilton witness
     legs = {
-        "binary": binary,
+        "binary": binary.ok,
         "no_equilateral_triangle": no_equilateral_triangle(space),
     }
     if n <= HAMILTON_ORACLE_LIMIT:
@@ -695,7 +645,7 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
     check("strictly_binary_equivalences", **legs)
 
     # strictly n-ary: four equivalent faces, audited for every plausible n
-    delta = max_out_degree(tree)
+    delta = extras["max_out_degree"]
     candidates = sorted(bballs, key=lambda b: (len(b), sorted(b)))
     for arity in range(2, delta + 2):
         structural = bool(is_strictly_nary(tree, arity))
@@ -769,40 +719,37 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
     # homogeneity: structural versus metric oracle
     check(
         "homogeneous_oracle",
-        structural=bool(is_homogeneous(tree)),
+        structural=homogeneous.ok,
         oracle=homogeneous_oracle(space),
     )
 
     # point spectra versus leaf/label levels
+    cover = extras["level_graphs_cover_all_points"]
     check(
         "leaf_levels_spectrum_sizes",
-        structural=bool(leaves_same_level(tree)),
+        structural=leaf_levels.ok,
         oracle=point_spectra_sizes_equal(space),
     )
     check(
         "label_levels_spectrum_suffixes",
-        structural=bool(labels_same_level(tree)),
+        structural=label_levels.ok,
         oracle=point_spectra_are_suffixes(space),
     )
     check(
         "uniform_levels_spectra_equal",
-        structural=bool(leaves_same_level(tree)) and bool(labels_same_level(tree)),
+        structural=leaf_levels.ok and label_levels.ok,
         oracle=point_spectra_all_equal(space),
     )
-    if bool(leaves_same_level(tree)):
+    if leaf_levels:
         check(
             "label_levels_full_vertex_cover",
-            structural=bool(labels_same_level(tree)),
-            oracle=level_graphs_cover_all_points(space),
+            structural=label_levels.ok,
+            oracle=cover,
         )
-    imply(
-        "homogeneous_full_vertex_cover",
-        bool(is_homogeneous(tree)),
-        level_graphs_cover_all_points(space),
-    )
+    imply("homogeneous_full_vertex_cover", homogeneous.ok, cover)
 
     # perfect strictly n-ary: tree shape versus level graphs
-    tree_arity = perfect_nary_arity(tree)
+    tree_arity = perfect.witness["arity"]
     graph_arity = perfect_level_graph_oracle(space)
     check(
         "perfect_nary_oracle",
@@ -827,7 +774,6 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
         )
 
     # spaces generated by unrooted labeled trees
-    leafy = has_leaf_child_everywhere(tree)
     if leafy:
         unrooted = unrooted_from_representing(tree)
         back = space_from_unrooted(unrooted)
@@ -844,21 +790,17 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
     # rigidity: structure versus isometry count
     check(
         "rigid_isometry_count",
-        structural=bool(is_rigid(tree)),
-        oracle=(count_self_isometries(tree) == 2),
+        structural=rigid.ok,
+        oracle=(extras["self_isometries"] == 2),
     )
 
     # containments
-    imply("rigid_in_inner_chain", bool(is_rigid(tree)), bool(has_inner_chain(tree)))
-    imply("inner_chain_in_injective", bool(has_inner_chain(tree)), injective)
-    imply(
-        "extremal_in_binary_injective",
-        len(sp) == n,
-        binary and injective,
-    )
+    imply("rigid_in_inner_chain", rigid.ok, chain.ok)
+    imply("inner_chain_in_injective", chain.ok, injective.ok)
+    imply("extremal_in_binary_injective", extremal.ok, binary.ok and injective.ok)
     imply(
         "inner_chain_in_shape_guarantee",
-        bool(has_inner_chain(tree)),
+        chain.ok,
         bool(shape_spectrum_guarantee(tree)),
     )
 
@@ -871,7 +813,7 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
     check(
         "ball_count_lower_bound_equality",
         equality=(Fraction(balls) == bound1),
-        strictly_delta_ary=(strict_arity(tree) == delta),
+        strictly_delta_ary=(nary.witness["arity"] == delta),
     )
     bound2 = len(sp) + (2 * dsize * n - dsize - n) / (dsize - 1)
     if Fraction(2 * balls) < bound2:
@@ -879,22 +821,21 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
     check(
         "ball_spectrum_bound_equality",
         equality=(Fraction(2 * balls) == bound2),
-        strictly_nary_injective=(strict_arity(tree) == delta and injective),
+        strictly_nary_injective=(nary.witness["arity"] == delta and injective.ok),
     )
 
-    # shape + spectrum rigidity cross-checks
-    if len(tree.internal_nodes()) <= SHAPE_SPECTRUM_ORACLE_LIMIT:
-        oracle = shape_spectrum_oracle(space, tree)
+    # shape + spectrum rigidity cross-checks, where the oracle decided
+    if shape.witness["basis"] == "oracle":
         if injective:
             check(
                 "shape_spectrum_injective_criterion",
-                criterion=bool(shape_spectrum_injective_criterion(tree)),
-                oracle=oracle,
+                criterion=chain_tail.ok,
+                oracle=shape.ok,
             )
         imply(
             "shape_spectrum_guarantee_sound",
             bool(shape_spectrum_guarantee(tree)),
-            oracle,
+            shape.ok,
         )
 
     return out

@@ -4,7 +4,8 @@ Exit codes: 0 for success and true verdicts, 1 for false verdicts (the
 certificate goes to standard output), 2 for input errors.  Output is
 text by default; ``--format json`` switches every command to a single
 JSON document.  ULTRAFOREST_THREADS caps internal parallelism for the
-exhaustive audit sweep (default 1; results are identical at any setting).
+exhaustive audit sweep (default 1, never more than the CPU count; results
+are identical at any setting).
 """
 
 from __future__ import annotations
@@ -44,13 +45,15 @@ from .tree import build_representing_tree, tree_to_space
 from .unrooted import space_from_unrooted, unrooted_from_representing
 
 
-def _threads() -> int:
+def _threads(work: int) -> int:
+    """Worker processes for ``work`` items: ULTRAFOREST_THREADS, capped by
+    the CPU count and by the work itself."""
     raw = os.environ.get("ULTRAFOREST_THREADS", "1")
     try:
         value = int(raw)
     except ValueError:
         raise ParseError(f"ULTRAFOREST_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
+    return max(1, min(value, os.cpu_count() or 1, work))
 
 
 def _read(path: str) -> str:
@@ -172,7 +175,7 @@ def _cmd_audit(args, out: _Output) -> int:
         spaces = []
         for n in range(2, args.max_n + 1):
             spaces.extend(enumerate_spaces(n))
-        threads = _threads()
+        threads = _threads(len(spaces))
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 per_space = list(pool.map(_audit_one, spaces))

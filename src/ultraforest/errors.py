@@ -46,6 +46,14 @@ class StrongTriangleViolation(UltrametricError):
         self.x, self.y, self.z = x, y, z
 
 
+class NotUltrametric(UltrametricError):
+    """d(x,y) exceeds every distance on some chain of points from x to y."""
+
+    def __init__(self, x, y):
+        super().__init__(f"d({x},{y}) exceeds a chain of smaller distances: the matrix is not ultrametric")
+        self.x, self.y = x, y
+
+
 class EmptySubset(UltrametricError):
     def __init__(self):
         super().__init__("subset of points must be nonempty")

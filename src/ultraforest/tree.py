@@ -18,6 +18,7 @@ from .core import ZERO, Space, diameter
 from .errors import (
     InvalidTree,
     LabelMonotonicityViolation,
+    NotUltrametric,
     SingletonSpace,
     UnknownNode,
 )
@@ -213,7 +214,9 @@ def build_representing_tree(space: Space) -> RootedTree:
     Works by merging clusters in ascending distance order: the clusters
     joined by pairs at distance v become the children of a node labeled v.
     For an ultrametric this reproduces exactly the recursive decomposition
-    of each ball into the parts of its diametrical graph.
+    of each ball into the parts of its diametrical graph.  A pair whose
+    distance exceeds a chain of smaller distances between its points
+    raises NotUltrametric.
     """
     pts = space.points
     n = len(pts)
@@ -242,10 +245,13 @@ def build_representing_tree(space: Space) -> RootedTree:
         edges = buckets[value]
         olds: dict[int, int] = {}
         for i, j in edges:
-            for e in (i, j):
-                r = find(e)
-                if r not in olds:
-                    olds[r] = node_of[r]
+            ri, rj = find(i), find(j)
+            if ri == rj:
+                raise NotUltrametric(pts[i], pts[j])
+            if ri not in olds:
+                olds[ri] = node_of[ri]
+            if rj not in olds:
+                olds[rj] = node_of[rj]
         for i, j in edges:
             ri, rj = find(i), find(j)
             if ri != rj:
@@ -254,7 +260,6 @@ def build_representing_tree(space: Space) -> RootedTree:
         for r, nid in olds.items():
             groups.setdefault(find(r), []).append(nid)
         for nr, kids in groups.items():
-            assert len(kids) >= 2, "merge at a repeated value: matrix is not ultrametric"
             nid = len(labels)
             labels.append(value)
             children.append(tuple(kids))

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -383,6 +384,43 @@ class TestMembershipAndClassify:
         with pytest.raises(SingletonSpace):
             classify(singleton)
 
+    def test_catalog_calls_predicates_by_module_name(self, monkeypatch, perfect_binary4):
+        """Rebinding a predicate in the module (as timing wrappers do)
+        reaches classify and membership."""
+        # the package's ``classify`` attribute is the function, not the module
+        module = importlib.import_module("ultraforest.classify")
+        names = (
+            "is_gomory_hu_extremal",
+            "has_injective_internal_labels",
+            "is_strictly_binary",
+            "strict_arity",
+            "is_rigid",
+            "has_inner_chain",
+            "has_inner_chain_equal_tail",
+            "is_shape_spectrum_determined",
+            "is_homogeneous",
+            "leaves_same_level",
+            "labels_same_level",
+            "perfect_nary_arity",
+            "ball_preserving_structure",
+            "has_leaf_child_everywhere",
+        )
+        calls = []
+        for name in names:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        classify(perfect_binary4)
+        assert set(calls) == set(names)
+        calls.clear()
+        for cid in CLASS_IDS:
+            membership(cid, perfect_binary4)
+        assert set(calls) == set(names)
+
     def test_classify_agrees_with_membership(self):
         for n in range(2, 6):
             for space in enumerate_spaces(n):
@@ -390,14 +428,29 @@ class TestMembershipAndClassify:
                 for cid in CLASS_IDS:
                     assert report.classes[cid].member == membership(cid, space), cid
 
-    @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=300))
-    def test_membership_is_scale_invariant(self, n, seed):
+    @given(
+        st.integers(min_value=2, max_value=20),
+        st.integers(min_value=0, max_value=300),
+        st.data(),
+    )
+    def test_membership_is_scale_invariant(self, n, seed, data):
+        """Every verdict survives weak similarity: a strictly increasing
+        rescaling (linear or not) and a renaming of the points."""
         space = random_space(n, seed)
-        doubled = Space(space.points, [[v * 2 for v in row] for row in space.dist])
+        order = data.draw(st.permutations(range(n)))
+        images = [
+            Space(space.points, [[v * 2 for v in row] for row in space.dist]),
+            Space(space.points, [[v * v + v for v in row] for row in space.dist]),
+            Space(
+                [f"q{k}" for k in range(n)],
+                [[space.dist[i][j] for j in order] for i in order],
+            ),
+        ]
         left = classify(space)
-        right = classify(doubled)
-        for cid in CLASS_IDS:
-            assert left.classes[cid].member == right.classes[cid].member, cid
+        for image in images:
+            right = classify(image)
+            for cid in CLASS_IDS:
+                assert left.classes[cid].member == right.classes[cid].member, cid
 
 
 class TestAudit:

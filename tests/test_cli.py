@@ -111,6 +111,32 @@ class TestAudit:
         code2, out2, _ = run(capsys, ["audit", "--exhaustive", "--max-n", "4"])
         assert (code1, out1) == (code2, out2)
 
+    @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 9), (None, 1)])
+    def test_worker_count_is_capped(self, capsys, monkeypatch, cpus, expected):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("ultraforest.cli.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("ultraforest.cli.os.cpu_count", lambda: cpus)
+        monkeypatch.setenv("ULTRAFOREST_THREADS", "100000")
+        code, out, _ = run(capsys, ["audit", "--exhaustive", "--max-n", "4"])
+        assert code == 0
+        assert out == "audited 9 spaces (2..4 points): 0 discrepancies\n"
+        # one CPU (or an unknown count) runs the sweep without a pool
+        assert started == ([expected] if expected > 1 else [])
+
     def test_bad_thread_setting(self, capsys, monkeypatch):
         monkeypatch.setenv("ULTRAFOREST_THREADS", "many")
         code, out, err = run(capsys, ["audit", "--exhaustive", "--max-n", "3"])

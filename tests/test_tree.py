@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ultraforest.canonical import canonical_code
-from ultraforest.core import diameter, restrict, spectrum
+from ultraforest.core import Space, diameter, restrict, spectrum
 from ultraforest.errors import (
     InvalidTree,
     LabelMonotonicityViolation,
+    NotUltrametric,
     SingletonSpace,
+    UltrametricError,
     UnknownNode,
 )
 from ultraforest.gen import enumerate_rank_trees, enumerate_spaces, random_space
@@ -124,6 +126,21 @@ class TestBuildRepresentingTree:
         tree = build_representing_tree(equilateral)
         assert tree.n_nodes == 4
         assert tree.out_degree(tree.root) == 3
+
+    def test_unvalidated_non_ultrametric_raises_domain_error(self):
+        # Space() skips validation; d(a,c) = 2 exceeds the chain a-b-c at 1
+        space = Space(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        with pytest.raises(NotUltrametric) as info:
+            build_representing_tree(space)
+        assert isinstance(info.value, UltrametricError)
+        assert (info.value.x, info.value.y) == ("a", "c")
+
+    def test_non_ultrametric_pair_inside_a_larger_merge_is_caught(self):
+        # at value 2 the cluster {a,b,c} also merges with d, yet d(a,c) = 2
+        # still exceeds the chain a-b-c at 1
+        rows = [[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 2], [2, 2, 2, 0]]
+        with pytest.raises(NotUltrametric):
+            build_representing_tree(Space(["a", "b", "c", "d"], rows))
 
     def test_figure16_roundtrip(self, figure16, figure16_tree):
         rebuilt = build_representing_tree(figure16)
