@@ -44,7 +44,7 @@ def codes_from_tokens(tree: RootedTree, tokens: Sequence[str]) -> tuple[str, ...
     """Bottom-up codes: node v reads ``tokens[v]`` followed by its
     children's codes, sorted, in parentheses."""
     code = [""] * tree.n_nodes
-    for v in tree.postorder():
+    for v in reversed(tree.preorder()):
         code[v] = tokens[v] + "(" + ",".join(sorted(code[c] for c in tree.children[v])) + ")"
     return tuple(code)
 

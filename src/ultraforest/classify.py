@@ -34,7 +34,7 @@ from .graphs import (
     level_graph,
     strip_isolated,
 )
-from .tree import RootedTree, ballean, build_representing_tree, height, max_out_degree
+from .tree import RootedTree, build_representing_tree, height, max_out_degree
 from .unrooted import (
     has_leaf_child_everywhere,
     space_from_unrooted,
@@ -273,7 +273,7 @@ def ball_count_formula_holds(tree: RootedTree, n: int) -> bool:
     """(n-1)|B_Y| + 1 = n|Y| for every ball Y, read off subtree sizes."""
     nodes: dict[int, int] = {}
     leaves: dict[int, int] = {}
-    for v in tree.postorder():
+    for v in reversed(tree.preorder()):
         if tree.is_leaf(v):
             nodes[v] = 1
             leaves[v] = 1
@@ -297,7 +297,7 @@ def equidistant_partition(
         if tree.leaf_set(v) == ball:
             if tree.is_leaf(v):
                 raise SingularBall(ball)
-            return [tree.leaf_set(c) for c in tree.children[v]]
+            return tree.ball_partition(v)
     raise FormatMismatch("the given point set is not a ball of this space")
 
 

@@ -28,14 +28,15 @@ from .errors import (
 )
 from .formats import (
     format_rational,
+    load_json,
     parse_space,
-    space_from_json,
+    space_from_json_obj,
     space_to_csv,
     space_to_json_obj,
-    tree_from_json,
+    tree_from_json_obj,
     tree_to_dot,
     tree_to_json_obj,
-    unrooted_from_json,
+    unrooted_from_json_obj,
     unrooted_to_dot,
     unrooted_to_json_obj,
 )
@@ -63,14 +64,7 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _sniff_kind(text: str) -> str:
-    head = text.lstrip()
-    if not head.startswith("{"):
-        return "matrix"
-    try:
-        obj = json.loads(head)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+def _sniff_kind(obj) -> str:
     if isinstance(obj, dict):
         if "points" in obj and "dist" in obj:
             return "matrix"
@@ -81,14 +75,21 @@ def _sniff_kind(text: str) -> str:
     raise ParseError("cannot determine input kind; pass --from")
 
 
-def _load_kind(text: str, kind: str):
-    if kind == "matrix":
-        return parse_space(text)
-    if kind == "tree":
-        return tree_from_json(text)
-    if kind == "unrooted":
-        return unrooted_from_json(text)
-    raise ParseError(f"unknown input kind {kind!r}")
+_FROM_JSON = {
+    "matrix": space_from_json_obj,
+    "tree": tree_from_json_obj,
+    "unrooted": unrooted_from_json_obj,
+}
+
+
+def _load_input(text: str, kind: str | None):
+    """The input's kind (sniffed when None) and its value; JSON text is
+    decoded once, and text not starting with "{" is a CSV matrix."""
+    if kind in (None, "matrix") and not text.lstrip().startswith("{"):
+        return "matrix", parse_space(text, "csv")
+    obj = load_json(text)
+    kind = kind or _sniff_kind(obj)
+    return kind, _FROM_JSON[kind](obj)
 
 
 class _Output:
@@ -236,8 +237,7 @@ def _cmd_weaksim(args, out: _Output) -> int:
 
 def _cmd_convert(args, out: _Output) -> int:
     text = _read(args.file)
-    kind = args.src_kind or _sniff_kind(text)
-    value = _load_kind(text, kind)
+    kind, value = _load_input(text, args.src_kind)
     target = args.dst_kind
 
     try:

@@ -40,6 +40,16 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def load_json(text: str):
+    """Decode JSON text; malformed or too deeply nested input is a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply to read") from exc
+
+
 # ---------------------------------------------------------------- spaces
 
 
@@ -97,11 +107,7 @@ def space_to_json(space: Space) -> str:
 
 
 def space_from_json(text: str) -> Space:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return space_from_json_obj(obj)
+    return space_from_json_obj(load_json(text))
 
 
 def parse_space(text: str, fmt: str | None = None) -> Space:
@@ -168,11 +174,7 @@ def tree_to_json(tree: RootedTree) -> str:
 
 
 def tree_from_json(text: str) -> RootedTree:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return tree_from_json_obj(obj)
+    return tree_from_json_obj(load_json(text))
 
 
 # --------------------------------------------------------- unrooted trees
@@ -224,11 +226,7 @@ def unrooted_to_json(tree: UnrootedTree) -> str:
 
 
 def unrooted_from_json(text: str) -> UnrootedTree:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return unrooted_from_json_obj(obj)
+    return unrooted_from_json_obj(load_json(text))
 
 
 # ------------------------------------------------------------------- DOT

@@ -139,17 +139,15 @@ def decompose_level_graph(
 ) -> list[tuple[int, list[frozenset[str]]]]:
     """Pieces of the stripped level graph at r, read off the representing tree.
 
-    One piece per internal node labeled r, given as (node id, children leaf
-    sets); the leaf sets are the parts of that piece as a complete
-    multipartite graph.
+    One piece per internal node labeled r, given as (node id, ball
+    partition); the partition's parts are the parts of that piece as a
+    complete multipartite graph.  ``tree`` represents ``space``, so r is in
+    the spectrum iff some node carries it.
     """
     r = Fraction(r)
     if r == 0:
         raise ZeroRadius()
-    if r not in spectrum(space):
+    pieces = [(v, tree.ball_partition(v)) for v in tree.preorder() if tree.labels[v] == r]
+    if not pieces:
         raise ValueNotInSpectrum(r)
-    pieces = []
-    for v in tree.preorder():
-        if not tree.is_leaf(v) and tree.labels[v] == r:
-            pieces.append((v, [tree.leaf_set(c) for c in tree.children[v]]))
     return pieces

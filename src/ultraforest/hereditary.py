@@ -30,16 +30,20 @@ def one_point_deletions(space: Space) -> list[Space]:
     return [restrict(space, pts - {x}) for x in space.points]
 
 
-def _minimal_violating_subset(
-    class_id: str, space: Space, inside: frozenset[str]
-) -> frozenset[str]:
-    """Smallest non-member subset contained in a known non-member set."""
-    for size in range(2, len(inside) + 1):
-        for subset in combinations(sorted(inside), size):
+def _first_non_member(
+    class_id: str, space: Space, points, largest: int, charge=None
+) -> frozenset[str] | None:
+    """First subset of ``points`` with 2 to ``largest`` points, smallest
+    first and in ``combinations`` order, whose subspace leaves the class.
+    ``charge`` is called once per candidate, before its evaluation."""
+    for size in range(2, largest + 1):
+        for subset in combinations(points, size):
             sub = frozenset(subset)
+            if charge is not None:
+                charge()
             if not membership(class_id, restrict(space, sub)):
                 return sub
-    raise AssertionError("caller guarantees a violating subset exists")
+    return None
 
 
 def is_hereditary_instance(space: Space, class_id: str, full: bool = False) -> Verdict:
@@ -61,11 +65,9 @@ def is_hereditary_instance(space: Space, class_id: str, full: bool = False) -> V
     if full:
         if len(space) > FULL_SUBSET_LIMIT:
             raise TooLarge("full subset enumeration", len(space), FULL_SUBSET_LIMIT)
-        for size in range(2, len(space)):
-            for subset in combinations(space.points, size):
-                sub = frozenset(subset)
-                if not membership(class_id, restrict(space, sub)):
-                    return Verdict(False, witness={"subset": sub, "size": size})
+        sub = _first_non_member(class_id, space, space.points, len(space) - 1)
+        if sub is not None:
+            return Verdict(False, witness={"subset": sub, "size": len(sub)})
         return Verdict(True)
 
     seen: set[frozenset[str]] = set()
@@ -80,7 +82,8 @@ def is_hereditary_instance(space: Space, class_id: str, full: bool = False) -> V
                 continue
             seen.add(key)
             if not membership(class_id, sub):
-                minimal = _minimal_violating_subset(class_id, space, key)
+                # key itself is a non-member, so a smallest one exists
+                minimal = _first_non_member(class_id, space, sorted(key), len(key))
                 return Verdict(False, witness={"subset": minimal, "size": len(minimal)})
             stack.append(key)
     return Verdict(True)
@@ -133,10 +136,7 @@ def hereditary_counterexample_search(
             charge()
             if not membership(class_id, space):
                 continue
-            for size in range(2, len(space)):
-                for subset in combinations(space.points, size):
-                    sub = frozenset(subset)
-                    charge()
-                    if not membership(class_id, restrict(space, sub)):
-                        return space, sub
+            sub = _first_non_member(class_id, space, space.points, len(space) - 1, charge)
+            if sub is not None:
+                return space, sub
     return None

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import ZERO, Space, diameter
+from .core import ZERO, Space
 from .errors import (
     InvalidTree,
     LabelMonotonicityViolation,
@@ -48,6 +48,7 @@ class RootedTree:
         "points",
         "root",
         "_labeled_code",
+        "_preorder",
         "_parent",
         "_level",
         "_leaf_sets",
@@ -72,21 +73,18 @@ class RootedTree:
         self.root = root
 
         seen = [False] * n
-        order: list[int] = []  # postorder
-        stack: list[tuple[int, bool]] = [(root, False)]
+        order: list[int] = []  # preorder in input child order
+        stack = [root]
         while stack:
-            v, done = stack.pop()
-            if done:
-                order.append(v)
-                continue
+            v = stack.pop()
             if seen[v]:
                 raise InvalidTree(f"node {v} is referenced more than once")
             seen[v] = True
-            stack.append((v, True))
+            order.append(v)
             for c in kids[v]:
                 if not 0 <= c < n:
                     raise UnknownNode(c)
-                stack.append((c, False))
+            stack.extend(reversed(kids[v]))
         if not all(seen):
             stray = seen.index(False)
             raise InvalidTree(f"node {stray} is not reachable from the root")
@@ -94,7 +92,7 @@ class RootedTree:
         code: list[str] = [""] * n
         minleaf: list[str] = [""] * n
         pointset: set[str] = set()
-        for v in order:
+        for v in reversed(order):
             ch = kids[v]
             if not ch:
                 if self.labels[v] != 0:
@@ -124,6 +122,13 @@ class RootedTree:
 
         self.children = tuple(kids)
         self._labeled_code = tuple(code)
+        order = []  # the same walk over the canonical child order
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(kids[v]))
+        self._preorder = tuple(order)
         self._parent = None
         self._level = None
         self._leaf_sets = None
@@ -141,33 +146,19 @@ class RootedTree:
     def out_degree(self, v: int) -> int:
         return len(self.children[v])
 
-    def preorder(self) -> list[int]:
-        order = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
-        return order
+    def preorder(self) -> tuple[int, ...]:
+        """Every node, parents before children, children in canonical order.
 
-    def postorder(self) -> list[int]:
-        out = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                out.append(v)
-            else:
-                stack.append((v, True))
-                for c in reversed(self.children[v]):
-                    stack.append((c, False))
-        return out
+        Computed once, at construction; ``reversed(tree.preorder())`` lists
+        every child before its parent.
+        """
+        return self._preorder
 
     def _structure(self):
         if self._parent is None:
             parent = [-1] * self.n_nodes
             level = [0] * self.n_nodes
-            for v in self.preorder():
+            for v in self._preorder:
                 for c in self.children[v]:
                     parent[c] = v
                     level[c] = level[v] + 1
@@ -184,7 +175,7 @@ class RootedTree:
     def leaf_set(self, v: int) -> frozenset[str]:
         if self._leaf_sets is None:
             sets: list[frozenset[str] | None] = [None] * self.n_nodes
-            for u in self.postorder():
+            for u in reversed(self._preorder):
                 if self.is_leaf(u):
                     sets[u] = frozenset((self.points[u],))
                 else:
@@ -195,11 +186,16 @@ class RootedTree:
             self._leaf_sets = tuple(sets)
         return self._leaf_sets[v]
 
+    def ball_partition(self, v: int) -> list[frozenset[str]]:
+        """The leaf sets of v's children, in child order: the maximal proper
+        sub-balls of the ball at v, which sit pairwise at distance labels[v]."""
+        return [self.leaf_set(c) for c in self.children[v]]
+
     def leaves(self) -> list[int]:
-        return [v for v in self.preorder() if self.is_leaf(v)]
+        return [v for v in self._preorder if not self.children[v]]
 
     def internal_nodes(self) -> list[int]:
-        return [v for v in self.preorder() if not self.is_leaf(v)]
+        return [v for v in self._preorder if self.children[v]]
 
     def leaf_points(self) -> list[str]:
         return [self.points[v] for v in self.leaves()]
@@ -272,26 +268,13 @@ def multipartite_parts(space: Space) -> list[frozenset[str]]:
     """Parts of the diametrical graph of the space.
 
     Two points share a part iff their distance is strictly below the
-    diameter; for ultrametrics that relation is transitive, so parts are
-    found by bucketing against one representative each.  Sorted by
+    diameter, so the parts are the root's ball partition.  Sorted by
     (size, smallest point) for determinism.
     """
-    n = len(space)
-    if n < 2:
+    if len(space) < 2:
         raise SingletonSpace("multipartite_parts")
-    diam = diameter(space)
-    reps: list[int] = []
-    groups: list[list[int]] = []
-    for i in range(n):
-        row = space.dist[i]
-        for rep, group in zip(reps, groups):
-            if row[rep] < diam:
-                group.append(i)
-                break
-        else:
-            reps.append(i)
-            groups.append([i])
-    parts = [frozenset(space.points[i] for i in g) for g in groups]
+    tree = build_representing_tree(space)
+    parts = tree.ball_partition(tree.root)
     parts.sort(key=lambda s: (len(s), min(s)))
     return parts
 
@@ -304,15 +287,10 @@ def tree_to_space(tree: RootedTree) -> Space:
     """
     pts = tree.leaf_points()
     n = len(pts)
-    pos: dict[int, int] = {}
-    counter = 0
-    for v in tree.preorder():
-        if tree.is_leaf(v):
-            pos[v] = counter
-            counter += 1
+    pos = {v: i for i, v in enumerate(tree.leaves())}
     matrix: list[list[Fraction]] = [[ZERO] * n for _ in range(n)]
     leaf_lists: dict[int, list[int]] = {}
-    for v in tree.postorder():
+    for v in reversed(tree.preorder()):
         if tree.is_leaf(v):
             leaf_lists[v] = [pos[v]]
             continue

@@ -247,6 +247,21 @@ class TestConvert:
         assert code == 0
         assert out.startswith("graph")
 
+    @pytest.mark.parametrize("flags", [[], ["--from", "tree"]], ids=["sniffed", "from-tree"])
+    def test_too_deeply_nested_tree_is_an_input_error(self, capsys, tmp_path, flags):
+        # a 1200-level caterpillar, written by hand: json.dumps would overflow too
+        depth = 1200
+        head = "".join(
+            f'{{"label": "{k}", "children": [{{"label": "0", "point": "p{k + 1}"}}, '
+            for k in range(depth, 0, -1)
+        )
+        path = tmp_path / "deep.json"
+        path.write_text(head + '{"label": "0", "point": "p1"}' + "]}" * depth)
+        code, out, err = run(capsys, ["convert", *flags, str(path), "--to", "matrix"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestHereditary:
     def test_verify_true(self, capsys):

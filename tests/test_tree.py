@@ -104,6 +104,30 @@ class TestRootedTreeValidation:
             root=0,
         )
         assert canonical_code(a) == canonical_code(b)
+        assert [a.labels[v] for v in a.preorder()] == [b.labels[v] for v in b.preorder()]
+        assert a.leaf_points() == b.leaf_points()
+
+        for n in range(1, 7):
+            for space in enumerate_spaces(n):
+                tree = build_representing_tree(space)
+                order = tree.preorder()
+                assert order[0] == tree.root
+                assert sorted(order) == list(range(tree.n_nodes))
+                done = set()
+                for v in reversed(order):
+                    assert done.issuperset(tree.children[v])
+                    done.add(v)
+                assert tree.parent(tree.root) == -1 and tree.level(tree.root) == 0
+                for v in order:
+                    for c in tree.children[v]:
+                        assert tree.parent(c) == v
+                        assert tree.level(c) == tree.level(v) + 1
+                    if tree.is_leaf(v):
+                        assert tree.leaf_set(v) == {tree.points[v]}
+                    else:
+                        assert tree.leaf_set(v) == frozenset().union(
+                            *(tree.leaf_set(c) for c in tree.children[v])
+                        )
 
 
 class TestBuildRepresentingTree:
