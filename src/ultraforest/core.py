@@ -69,13 +69,13 @@ class Space:
     Construct untrusted matrices through :func:`validate_space`.
     """
 
-    __slots__ = ("points", "dist", "_index", "_diam")
+    __slots__ = ("points", "dist", "_index", "_spectrum")
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[Fraction]]):
         self.points: tuple[str, ...] = tuple(points)
         self.dist: tuple[tuple[Fraction, ...], ...] = tuple(tuple(row) for row in dist)
         self._index = {p: i for i, p in enumerate(self.points)}
-        self._diam = None
+        self._spectrum = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -115,6 +115,8 @@ def validate_space(matrix: Sequence[Sequence], points: Sequence[str]) -> Space:
     Raises NotSymmetric / DiagonalNonzero / OffDiagonalZero /
     NegativeDistance / StrongTriangleViolation with a witness, in that
     order of scanning; FormatMismatch for shape or entry-type problems.
+    Accepted input costs O(n²); only a strong-triangle violation pays for
+    the O(n³) scan that names the first violating triple.
     """
     pts = [str(p) for p in points]
     n = len(pts)
@@ -130,31 +132,86 @@ def validate_space(matrix: Sequence[Sequence], points: Sequence[str]) -> Space:
     for i in range(n):
         if d[i][i] != 0:
             raise DiagonalNonzero(pts[i])
+
+    # Every comparison below reads integer ranks: rank order is value order.
+    objects = _entry_objects(d)
+    values = sorted(set(objects.values()))
+    rank_of = {v: r for r, v in enumerate(values)}
+    rank_of_id = {i: rank_of[v] for i, v in objects.items()}
+    rk = [[rank_of_id[id(v)] for v in row] for row in d]
+    zero = rank_of[ZERO]
     for i in range(n):
         for j in range(i + 1, n):
-            if d[i][j] != d[j][i]:
+            if rk[i][j] != rk[j][i]:
                 raise NotSymmetric(pts[i], pts[j])
-            if d[i][j] < 0:
+            if rk[i][j] < zero:
                 raise NegativeDistance(pts[i], pts[j])
-            if d[i][j] == 0:
+            if rk[i][j] == zero:
                 raise OffDiagonalZero(pts[i], pts[j])
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = d[i][j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dij > max(d[i][k], d[k][j]):
-                    raise StrongTriangleViolation(pts[i], pts[j], pts[k])
-    return Space(pts, d)
+    if not _equals_subdominant(rk):
+        # Only a matrix that is not ultrametric gets here, so some triple
+        # violates the strong triangle inequality: name the first in scan order.
+        for i in range(n):
+            for j in range(i + 1, n):
+                dij = rk[i][j]
+                for k in range(n):
+                    if k == i or k == j:
+                        continue
+                    if dij > max(rk[i][k], rk[k][j]):
+                        raise StrongTriangleViolation(pts[i], pts[j], pts[k])
+    space = Space(pts, d)
+    space._spectrum = tuple(values)
+    return space
+
+
+def _entry_objects(rows) -> dict[int, Fraction]:
+    """The distinct entry objects of a matrix, by id.
+
+    Hashing a Fraction is slow, and parsers and tree builders share one
+    object per token spelling or label, so each object is hashed only once.
+    """
+    return {id(v): v for row in rows for v in row}
+
+
+def _equals_subdominant(rk: list[list[int]]) -> bool:
+    """Whether a symmetric, zero-diagonal rank matrix is ultrametric, in O(n²).
+
+    A matrix is ultrametric exactly when it equals the subdominant
+    ultrametric of a minimum spanning tree: the largest edge on the tree
+    path (Gower & Ross 1969).  Prim's algorithm adds one point v at a time
+    through parent p by an edge of rank e, so the path maximum from v to
+    each point w already in the tree is max(rk[p][w], e).
+    """
+    n = len(rk)
+    best = list(rk[0])  # cheapest edge rank from the tree to each point
+    parent = [0] * n
+    added = [0]
+    rest = set(range(1, n))
+    while rest:
+        v = min(rest, key=best.__getitem__)
+        rest.discard(v)
+        e, rv, rp = best[v], rk[v], rk[parent[v]]
+        for w in added:
+            if rv[w] != (rp[w] if rp[w] > e else e):
+                return False
+        added.append(v)
+        for u in rest:
+            if rv[u] < best[u]:
+                best[u] = rv[u]
+                parent[u] = v
+    return True
 
 
 def spectrum(space: Space) -> tuple[Fraction, ...]:
-    """All distinct distance values, sorted ascending; always starts with 0."""
-    values = {ZERO}
-    for row in space.dist:
-        values.update(row)
-    return tuple(sorted(values))
+    """All distinct distance values, sorted ascending; always starts with 0.
+
+    Computed once per space (``validate_space`` hands over its own).
+    """
+    if space._spectrum is None:
+        values = set(_entry_objects(space.dist).values())
+        values.add(ZERO)
+        space._spectrum = tuple(sorted(values))
+    return space._spectrum
 
 
 def point_spectrum(space: Space, x: str) -> PointSpectrum:
@@ -164,9 +221,7 @@ def point_spectrum(space: Space, x: str) -> PointSpectrum:
 
 
 def diameter(space: Space) -> Fraction:
-    if space._diam is None:
-        space._diam = max((v for row in space.dist for v in row), default=ZERO)
-    return space._diam
+    return spectrum(space)[-1]
 
 
 def restrict(space: Space, subset: Iterable[str]) -> Space:
@@ -184,13 +239,34 @@ def restrict(space: Space, subset: Iterable[str]) -> Space:
 
 
 def to_plain(value):
-    """Recursively convert rationals/sets/tuples into JSON-friendly data."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (frozenset, set)):
-        return sorted(to_plain(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [to_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(to_plain(k)): to_plain(v) for k, v in value.items()}
-    return value
+    """Convert rationals/sets/tuples into JSON-friendly data, at any depth.
+
+    Iterative, so a deep tree does not hit the recursion limit: a container
+    is revisited once its items are converted, and they are then popped
+    off ``done``.
+    """
+    done: list = []
+    stack: list = [(value, None)]
+    while stack:
+        v, items = stack.pop()
+        if items is None:
+            if isinstance(v, (frozenset, set, list, tuple)):
+                items = list(v)
+            elif isinstance(v, dict):
+                items = [x for kv in v.items() for x in kv]
+            else:
+                done.append(str(v) if isinstance(v, Fraction) else v)
+                continue
+            stack.append((v, items))
+            stack.extend((x, None) for x in reversed(items))
+            continue
+        cut = len(done) - len(items)
+        plain = done[cut:]
+        del done[cut:]
+        if isinstance(v, dict):
+            done.append({str(k): x for k, x in zip(plain[::2], plain[1::2])})
+        elif isinstance(v, (frozenset, set)):
+            done.append(sorted(plain))
+        else:
+            done.append(plain)
+    return done[0]

@@ -13,8 +13,8 @@ import json
 from fractions import Fraction
 
 from .core import Space, validate_space
-from .errors import ParseError
-from .tree import RootedTree
+from .errors import ParseError, TooLarge
+from .tree import RootedTree, height
 from .unrooted import UnrootedTree
 
 
@@ -34,6 +34,25 @@ def parse_rational(token) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational value: {token!r}") from exc
     raise ParseError(f"not a rational value: {token!r}")
+
+
+def _token_parser():
+    """``parse_rational`` that parses each distinct string token once.
+
+    Equal values spelled differently ("1/2", "0.5") are still equal
+    Fractions; any other token type goes straight to ``parse_rational``.
+    """
+    cache: dict[str, Fraction] = {}
+
+    def parse(token) -> Fraction:
+        if type(token) is not str:
+            return parse_rational(token)
+        value = cache.get(token)
+        if value is None:
+            value = cache[token] = parse_rational(token)
+        return value
+
+    return parse
 
 
 def format_rational(value: Fraction) -> str:
@@ -72,11 +91,12 @@ def space_from_csv(text: str) -> Space:
         raise ParseError(
             f"expected {n} matrix rows after the header, found {len(rows) - 1}"
         )
+    parse = _token_parser()
     matrix = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}", position=i)
-        matrix.append([parse_rational(tok) for tok in row])
+        matrix.append([parse(tok) for tok in row])
     return validate_space(matrix, points)
 
 
@@ -98,7 +118,8 @@ def space_from_json_obj(obj) -> Space:
         raise ParseError('"points" must be a list of strings')
     if not isinstance(dist, list) or not all(isinstance(r, list) for r in dist):
         raise ParseError('"dist" must be a list of rows')
-    matrix = [[parse_rational(tok) for tok in row] for row in dist]
+    parse = _token_parser()
+    matrix = [[parse(tok) for tok in row] for row in dist]
     return validate_space(matrix, points)
 
 
@@ -124,17 +145,27 @@ def parse_space(text: str, fmt: str | None = None) -> Space:
 
 # ----------------------------------------------------------------- trees
 
+# The highest tree written as JSON.  A tree of height h nests 2h + 1 JSON
+# containers, and ``json`` spends a stack frame on each, both writing with
+# indent and reading; both fail between h = 490 and 500 under the default
+# recursion limit of 1000, so this keeps a margin of 90 levels.
+TREE_JSON_MAX_HEIGHT = 400
+
 
 def tree_to_json_obj(tree: RootedTree) -> dict:
-    def node(v: int) -> dict:
+    """Nested JSON object of a rooted tree, built children first; a tree
+    higher than TREE_JSON_MAX_HEIGHT raises TooLarge."""
+    h = height(tree)
+    if h > TREE_JSON_MAX_HEIGHT:
+        raise TooLarge("tree JSON height", h, TREE_JSON_MAX_HEIGHT)
+    objs: list = [None] * tree.n_nodes
+    for v in reversed(tree.preorder()):
+        label = format_rational(tree.labels[v])
         if tree.is_leaf(v):
-            return {"label": format_rational(tree.labels[v]), "point": tree.points[v]}
-        return {
-            "label": format_rational(tree.labels[v]),
-            "children": [node(c) for c in tree.children[v]],
-        }
-
-    return node(tree.root)
+            objs[v] = {"label": label, "point": tree.points[v]}
+        else:
+            objs[v] = {"label": label, "children": [objs[c] for c in tree.children[v]]}
+    return objs[tree.root]
 
 
 def tree_from_json_obj(obj) -> RootedTree:
@@ -165,7 +196,10 @@ def tree_from_json_obj(obj) -> RootedTree:
             points.append(point)
         return len(labels) - 1
 
-    root = walk(obj)
+    try:
+        root = walk(obj)
+    except RecursionError as exc:
+        raise ParseError("tree JSON nested too deeply to read") from exc
     return RootedTree(labels, children, points, root=root)
 
 

@@ -26,6 +26,18 @@ def ultrametric_violation(matrix) -> tuple[int, int, int] | None:
     return None
 
 
+def first_strong_triangle_violation(matrix) -> tuple[int, int, int] | None:
+    """First triple (i < j, k not in {i, j}) with d(i,j) > max(d(i,k), d(k,j)),
+    in the order i, then j, then k."""
+    n = len(matrix)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k not in (i, j) and matrix[i][j] > max(matrix[i][k], matrix[k][j]):
+                    return i, j, k
+    return None
+
+
 def all_balls(space: Space) -> set[frozenset[str]]:
     out = set()
     values = sorted({v for row in space.dist for v in row})

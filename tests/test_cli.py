@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ultraforest.cli import main
-from ultraforest.formats import parse_space, space_to_csv, space_to_json
+from ultraforest.formats import TREE_JSON_MAX_HEIGHT, parse_space, space_to_csv, space_to_json
 from ultraforest.gen import random_space
 
 
@@ -25,6 +30,26 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def path_file(tmp_path, n):
+    """An unrooted path x1 - x2 - ... - xn labeled 1..n; its representing
+    tree is a caterpillar of height n - 1."""
+    obj = {
+        "vertices": [{"id": f"x{i}", "label": str(i)} for i in range(1, n + 1)],
+        "edges": [[f"x{i}", f"x{i + 1}"] for i in range(1, n)],
+    }
+    path = tmp_path / f"path{n}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def tree_height(obj) -> int:
+    h = 0
+    while "children" in obj:
+        obj = max(obj["children"], key=lambda c: "children" in c)
+        h += 1
+    return h
 
 
 class TestValidate:
@@ -247,6 +272,36 @@ class TestConvert:
         assert code == 0
         assert out.startswith("graph")
 
+    def test_deep_tree_as_json(self, capsys, tmp_path):
+        path = path_file(tmp_path, 300)
+        code, out, err = run(capsys, ["convert", path, "--to", "tree", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert tree_height(json.loads(out)) == 299
+
+    def test_tree_above_the_height_limit_is_an_input_error(self, capsys, tmp_path):
+        path = path_file(tmp_path, 600)
+        for argv in (["convert", path, "--to", "tree"], ["convert", "--format", "json", path, "--to", "tree"]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: tree JSON height") and err.count("\n") == 1
+        code, out, err = run(capsys, ["convert", path, "--to", "tree", "--dot"])
+        assert code == 0
+        assert out.startswith("digraph") and out.count(" -> ") == 2 * 599
+
+    def test_tree_at_the_height_limit_round_trips(self, capsys, tmp_path):
+        path = path_file(tmp_path, TREE_JSON_MAX_HEIGHT + 1)
+        code, tree_text, err = run(capsys, ["convert", path, "--to", "tree"])
+        assert code == 0
+        assert tree_height(json.loads(tree_text)) == TREE_JSON_MAX_HEIGHT
+        tree_path = tmp_path / "t.json"
+        tree_path.write_text(tree_text)
+        code, matrix_text, err = run(capsys, ["convert", str(tree_path), "--to", "matrix"])
+        assert code == 0
+        matrix_path = tmp_path / "m.csv"
+        matrix_path.write_text(matrix_text)
+        code, out, err = run(capsys, ["convert", str(matrix_path), "--to", "tree"])
+        assert (code, out) == (0, tree_text)
+
     @pytest.mark.parametrize("flags", [[], ["--from", "tree"]], ids=["sniffed", "from-tree"])
     def test_too_deeply_nested_tree_is_an_input_error(self, capsys, tmp_path, flags):
         # a 1200-level caterpillar, written by hand: json.dumps would overflow too
@@ -261,6 +316,40 @@ class TestConvert:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+_TOKENS = ["0", "1", "2", "1/2", "0.5", "2/4", " 1/2", "-1", "0..5", "x", "", "1/0"]
+_JSON_TOKENS = st.sampled_from(_TOKENS) | st.sampled_from([0, 1, 2, -1, 0.5, True, None, [1]])
+
+
+@st.composite
+def matrix_files(draw):
+    """CSV or JSON matrix text over a token alphabet, rows possibly short."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    points = [f"p{i}" for i in range(n)]
+    as_json = draw(st.booleans())
+    token = _JSON_TOKENS if as_json else st.sampled_from(_TOKENS)
+    rows = [draw(st.lists(token, min_size=n - 1, max_size=n)) for _ in range(n)]
+    if as_json:
+        return json.dumps({"points": points, "dist": rows})
+    return "\n".join(",".join(row) for row in [points, *rows]) + "\n"
+
+
+class TestNoTraceback:
+    @given(matrix_files())
+    def test_validate_exits_zero_or_two(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.txt"
+            path.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["validate", str(path)])
+        if code == 0:
+            assert err.getvalue() == "" and out.getvalue().startswith("valid:")
+        else:
+            assert code == 2
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 class TestHereditary:

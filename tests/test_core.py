@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ultraforest.core import (
+    ZERO,
     Space,
+    _equals_subdominant,
     diameter,
     point_spectrum,
     restrict,
@@ -25,6 +27,7 @@ from ultraforest.errors import (
 from ultraforest.gen import random_space
 
 from .conftest import space_from_rows
+from .oracles import first_strong_triangle_violation, ultrametric_violation
 
 
 class TestValidate:
@@ -169,6 +172,90 @@ class TestGomoryHuBound:
         assert rebuilt == space
 
 
+def _ranks(matrix):
+    values = sorted({v for row in matrix for v in row})
+    return [[values.index(v) for v in row] for row in matrix]
+
+
+def _expected_rejection(matrix):
+    """The error class validate_space must raise on a zero-diagonal matrix,
+    by its scan order, and the strong-triangle witness; (None, None) to accept."""
+    n = len(matrix)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if matrix[i][j] != matrix[j][i]:
+                return NotSymmetric, None
+            if matrix[i][j] < 0:
+                return NegativeDistance, None
+            if matrix[i][j] == 0:
+                return OffDiagonalZero, None
+    triple = first_strong_triangle_violation(matrix)
+    return (StrongTriangleViolation, triple) if triple else (None, None)
+
+
+@st.composite
+def perturbed_spaces(draw):
+    """A random_space matrix with one symmetric pair raised, lowered or set
+    to another spectrum value."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    space = random_space(n, draw(st.integers(min_value=0, max_value=10_000)))
+    matrix = [list(row) for row in space.dist]
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    old = matrix[i][j]
+    how = draw(st.sampled_from(["raise", "lower", "respell"]))
+    if how == "raise":
+        new = old + Fraction(draw(st.integers(1, 8)), draw(st.integers(1, 4)))
+    elif how == "lower":
+        new = old * Fraction(draw(st.integers(1, 3)), 4)
+    else:
+        new = draw(st.sampled_from(spectrum(space)[1:]))
+    matrix[i][j] = matrix[j][i] = new
+    return matrix
+
+
+@st.composite
+def small_matrices(draw):
+    """Small zero-diagonal matrices over a few values, zeros and negatives
+    among them; symmetric unless one cell is drawn apart."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    value = st.sampled_from([Fraction(v) for v in (-1, 0, "1/2", 1, 2, 3)])
+    matrix = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = draw(value)
+    if n > 1 and draw(st.booleans()):
+        matrix[n - 1][0] = draw(value)
+    return matrix
+
+
+class TestFastValidation:
+    """validate_space decides and names witnesses exactly as the cubic scan."""
+
+    @settings(max_examples=400)
+    @given(st.one_of(perturbed_spaces(), small_matrices()))
+    def test_agrees_with_the_scan(self, matrix):
+        points = [f"p{i}" for i in range(len(matrix))]
+        expected, triple = _expected_rejection(matrix)
+        if expected is None:
+            assert ultrametric_violation(matrix) is None
+            assert _equals_subdominant(_ranks(matrix))  # no cubic scan
+            space = validate_space(matrix, points)
+            fresh = tuple(sorted({ZERO}.union(*map(set, space.dist))))
+            assert spectrum(space) == fresh
+            assert diameter(space) == max(max(row) for row in matrix)
+            return
+        with pytest.raises(expected) as exc:
+            validate_space(matrix, points)
+        if expected is StrongTriangleViolation:
+            assert ultrametric_violation(matrix) is not None
+            assert not _equals_subdominant(_ranks(matrix))
+            assert (exc.value.x, exc.value.y, exc.value.z) == tuple(points[t] for t in triple)
+
+    def test_spectrum_is_computed_once(self, figure16):
+        assert spectrum(figure16) is spectrum(figure16)
+        assert diameter(figure16) == spectrum(figure16)[-1]
+
+
 class TestToPlain:
     def test_conversions(self):
         data = {
@@ -177,3 +264,16 @@ class TestToPlain:
             "tuple": (1, Fraction(2)),
         }
         assert to_plain(data) == {"q": "3/4", "set": ["a", "b"], "tuple": [1, "2"]}
+
+    def test_any_depth(self):
+        deep = Fraction(1, 2)
+        for _ in range(5000):
+            deep = ({"x": deep},)
+        plain = to_plain(deep)
+        for _ in range(5000):
+            plain = plain[0]["x"]
+        assert plain == "1/2"
+
+    def test_sets_sort_after_conversion(self):
+        assert to_plain({frozenset({"b"}), frozenset({"a", "c"})}) == [["a", "c"], ["b"]]
+        assert to_plain({Fraction(1, 2): set(), (1, 2): []}) == {"1/2": [], "[1, 2]": []}

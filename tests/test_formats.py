@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ultraforest.canonical import canonical_code
+from ultraforest.core import spectrum
 from ultraforest.errors import ParseError
 from ultraforest.formats import (
     format_rational,
@@ -14,6 +15,7 @@ from ultraforest.formats import (
     space_to_csv,
     space_to_json,
     tree_from_json,
+    tree_from_json_obj,
     tree_to_dot,
     tree_to_json,
     unrooted_from_json,
@@ -115,6 +117,35 @@ class TestSpaceJson:
             space_from_json('{"points": ["a"], "dist": "zero"}')
 
 
+class TestTokenSpellings:
+    """Each token spelling is parsed once; equal values stay one value."""
+
+    def test_csv_spellings_of_one_half(self):
+        text = "a,b,c,d\n0,1/2,1,1\n0.5,0,1,1\n1,1,0,2/4\n1,1, 1/2,0\n"
+        space = space_from_csv(text)
+        assert spectrum(space) == (0, Fraction(1, 2), 1)
+        assert space.distance("c", "d") == space.distance("a", "b") == Fraction(1, 2)
+
+    def test_json_integer_and_string(self):
+        text = '{"points": ["a", "b", "c"], "dist": [[0, 1, "1"], [1, 0, "1"], ["1", 1, 0]]}'
+        assert spectrum(space_from_json(text)) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("0.5", 'refusing inexact float 0.5; write it as a string, e.g. "1/4"'),
+            ("true", "not a rational value: True"),
+            ("[0]", "not a rational value: [0]"),
+        ],
+        ids=["float", "bool", "list"],
+    )
+    def test_other_json_tokens_keep_their_errors(self, cell, message):
+        text = '{"points": ["a", "b"], "dist": [["0", "1"], ["1", %s]]}' % cell
+        with pytest.raises(ParseError) as exc:
+            space_from_json(text)
+        assert str(exc.value) == message
+
+
 class TestParseSpaceSniffing:
     def test_sniffs_json(self, isosceles):
         assert parse_space(space_to_json(isosceles)) == isosceles
@@ -148,6 +179,13 @@ class TestTreeJson:
         assert obj["label"] == "2"
         kinds = {("children" in child, "point" in child) for child in obj["children"]}
         assert kinds == {(True, False), (False, True)}
+
+    def test_too_deep_to_read_is_a_parse_error(self):
+        node = {"label": "0", "point": "p0"}
+        for k in range(1, 2000):
+            node = {"label": str(k), "children": [{"label": "0", "point": f"p{k}"}, node]}
+        with pytest.raises(ParseError, match="nested too deeply"):
+            tree_from_json_obj(node)
 
     def test_errors(self):
         with pytest.raises(ParseError):
