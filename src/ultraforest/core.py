@@ -133,7 +133,8 @@ def validate_space(matrix: Sequence[Sequence], points: Sequence[str]) -> Space:
         if d[i][i] != 0:
             raise DiagonalNonzero(pts[i])
 
-    # Every comparison below reads integer ranks: rank order is value order.
+    # The pair scan and the Prim check read integer ranks: rank order is
+    # value order.
     objects = _entry_objects(d)
     values = sorted(set(objects.values()))
     rank_of = {v: r for r, v in enumerate(values)}
@@ -151,13 +152,15 @@ def validate_space(matrix: Sequence[Sequence], points: Sequence[str]) -> Space:
     if not _equals_subdominant(rk):
         # Only a matrix that is not ultrametric gets here, so some triple
         # violates the strong triangle inequality: name the first in scan order.
+        # The scan reads the values; running it on the ranks is an open
+        # step of ROADMAP item 2, for rejected input only.
         for i in range(n):
             for j in range(i + 1, n):
-                dij = rk[i][j]
+                dij = d[i][j]
                 for k in range(n):
                     if k == i or k == j:
                         continue
-                    if dij > max(rk[i][k], rk[k][j]):
+                    if dij > max(d[i][k], d[k][j]):
                         raise StrongTriangleViolation(pts[i], pts[j], pts[k])
     space = Space(pts, d)
     space._spectrum = tuple(values)
