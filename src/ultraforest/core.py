@@ -10,6 +10,7 @@ All arithmetic is exact; floating point never enters the core.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
@@ -69,13 +70,14 @@ class Space:
     Construct untrusted matrices through :func:`validate_space`.
     """
 
-    __slots__ = ("points", "dist", "_index", "_spectrum")
+    __slots__ = ("points", "dist", "_index", "_spectrum", "_ranks")
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[Fraction]]):
         self.points: tuple[str, ...] = tuple(points)
         self.dist: tuple[tuple[Fraction, ...], ...] = tuple(tuple(row) for row in dist)
         self._index = {p: i for i, p in enumerate(self.points)}
         self._spectrum = None
+        self._ranks = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -135,12 +137,8 @@ def validate_space(matrix: Sequence[Sequence], points: Sequence[str]) -> Space:
 
     # The pair scan and the Prim check read integer ranks: rank order is
     # value order.
-    objects = _entry_objects(d)
-    values = sorted(set(objects.values()))
-    rank_of = {v: r for r, v in enumerate(values)}
-    rank_of_id = {i: rank_of[v] for i, v in objects.items()}
-    rk = [[rank_of_id[id(v)] for v in row] for row in d]
-    zero = rank_of[ZERO]
+    values, rk = _encode(d)
+    zero = bisect_left(values, ZERO)
     for i in range(n):
         for j in range(i + 1, n):
             if rk[i][j] != rk[j][i]:
@@ -149,7 +147,7 @@ def validate_space(matrix: Sequence[Sequence], points: Sequence[str]) -> Space:
                 raise NegativeDistance(pts[i], pts[j])
             if rk[i][j] == zero:
                 raise OffDiagonalZero(pts[i], pts[j])
-    if not _equals_subdominant(rk):
+    if prim_order(rk) is None:
         # Only a matrix that is not ultrametric gets here, so some triple
         # violates the strong triangle inequality: name the first in scan order.
         # The scan reads the values; running it on the ranks is an open
@@ -163,57 +161,124 @@ def validate_space(matrix: Sequence[Sequence], points: Sequence[str]) -> Space:
                     if dij > max(d[i][k], d[k][j]):
                         raise StrongTriangleViolation(pts[i], pts[j], pts[k])
     space = Space(pts, d)
+    space._ranks = rk
     space._spectrum = tuple(values)
     return space
 
 
-def _entry_objects(rows) -> dict[int, Fraction]:
-    """The distinct entry objects of a matrix, by id.
+def _ranked_objects(rows) -> tuple[list[Fraction], dict[int, int]]:
+    """The sorted distinct entries of a matrix, 0 among them, and the index
+    in that list (the rank) of every entry object, by id.
 
-    Hashing a Fraction is slow, and parsers and tree builders share one
-    object per token spelling or label, so each object is hashed only once.
+    Parsers and tree builders share one object per token spelling or
+    label, so each distinct object is ranked once and cells go by id.
+    Objects sort by floor(v * 2**64), an exact integer, and compare as
+    Fractions only on ties: hashing or comparing a Fraction is slow.
     """
-    return {id(v): v for row in rows for v in row}
+    objects = {id(v): v for row in rows for v in row}
+    objects.setdefault(id(ZERO), ZERO)
+    keyed = sorted(
+        [((v.numerator << 64) // v.denominator, v, k, i) for k, (i, v) in enumerate(objects.items())]
+    )
+    values: list[Fraction] = []
+    rank: dict[int, int] = {}
+    coarse = None
+    for c, v, _, i in keyed:
+        if c != coarse or v != values[-1]:
+            values.append(v)
+            coarse = c
+        rank[i] = len(values) - 1
+    return values, rank
 
 
-def _equals_subdominant(rk: list[list[int]]) -> bool:
-    """Whether a symmetric, zero-diagonal rank matrix is ultrametric, in O(n²).
+def _encode(rows) -> tuple[list[Fraction], list[tuple[int, ...]]]:
+    """The sorted distinct entries of a matrix, 0 among them, and the matrix
+    with every entry replaced by its rank."""
+    values, rank = _ranked_objects(rows)
+    get = rank.__getitem__
+    return values, [tuple(map(get, map(id, row))) for row in rows]
 
-    A matrix is ultrametric exactly when it equals the subdominant
-    ultrametric of a minimum spanning tree: the largest edge on the tree
-    path (Gower & Ross 1969).  Prim's algorithm adds one point v at a time
-    through parent p by an edge of rank e, so the path maximum from v to
-    each point w already in the tree is max(rk[p][w], e).
+
+def rank_matrix(space: Space) -> list[tuple[int, ...]]:
+    """The integer ranks of a space's distances, computed once per space.
+
+    ``validate_space`` hands over the ranks it checked and ``restrict``
+    slices its parent's, since rank order survives in any subset; otherwise
+    the first call encodes the matrix and seeds the spectrum as well.  The
+    rows are symmetric: an unvalidated matrix that is not has its upper
+    triangle mirrored, the only part the tree build reads.
+    """
+    if space._ranks is None:
+        values, rk = _encode(space.dist)
+        if not all(map(tuple.__eq__, rk, zip(*rk))):
+            n = len(rk)
+            rk = [tuple(rk[i][j] if i <= j else rk[j][i] for j in range(n)) for i in range(n)]
+        space._ranks = rk
+        space._spectrum = tuple(values)
+    return space._ranks
+
+
+def prim_order(
+    rk: Sequence[Sequence[int]], check: bool = True
+) -> tuple[list[int], list[int], list[int]] | None:
+    """Grow a minimum spanning tree of a rank matrix by Prim's algorithm, in O(n²).
+
+    The matrix must be symmetric with each diagonal entry at most every
+    entry in its row.  Returns the order the points joined in (point 0
+    first) and, per point, its parent and the rank of the edge it joined
+    by; the entries for point 0 are meaningless.  With ``check`` the result
+    is None unless the matrix is ultrametric: exactly when it equals the
+    subdominant ultrametric of the tree, the largest edge on the tree path
+    (Gower & Ross 1969).  A point v joining through parent p by an edge of
+    rank e lies at max(rk[p][w], e) on the tree from each earlier point w.
     """
     n = len(rk)
     best = list(rk[0])  # cheapest edge rank from the tree to each point
     parent = [0] * n
-    added = [0]
+    order = [0]
     rest = set(range(1, n))
     while rest:
         v = min(rest, key=best.__getitem__)
         rest.discard(v)
-        e, rv, rp = best[v], rk[v], rk[parent[v]]
-        for w in added:
-            if rv[w] != (rp[w] if rp[w] > e else e):
-                return False
-        added.append(v)
+        e, rv = best[v], rk[v]
+        if check:
+            rp = rk[parent[v]]
+            for w in order:
+                if rv[w] != (rp[w] if rp[w] > e else e):
+                    return None
+        order.append(v)
         for u in rest:
             if rv[u] < best[u]:
                 best[u] = rv[u]
                 parent[u] = v
-    return True
+    return order, parent, best
+
+
+def excess_pair(rk: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """The first pair (i < j) in (rank, i, j) order whose rank exceeds the
+    largest edge between them on a minimum spanning tree, in O(n²).
+
+    The matrix is one ``prim_order`` rejects: some pair then lies farther
+    apart than that path maximum, its subdominant distance.
+    """
+    order, parent, edge = prim_order(rk, check=False)
+    n = len(rk)
+    path_max = [[-1] * n for _ in range(n)]
+    for k in range(1, n):
+        v = order[k]
+        e, pv, pp = edge[v], path_max[v], path_max[parent[v]]
+        for w in order[:k]:
+            pv[w] = path_max[w][v] = pp[w] if pp[w] > e else e
+    return min((rk[i][j], i, j) for i in range(n) for j in range(i + 1, n) if rk[i][j] > path_max[i][j])[1:]
 
 
 def spectrum(space: Space) -> tuple[Fraction, ...]:
     """All distinct distance values, sorted ascending; always starts with 0.
 
-    Computed once per space (``validate_space`` hands over its own).
+    Computed once per space; ``validate_space`` and ``rank_matrix`` seed it.
     """
     if space._spectrum is None:
-        values = set(_entry_objects(space.dist).values())
-        values.add(ZERO)
-        space._spectrum = tuple(sorted(values))
+        space._spectrum = tuple(_ranked_objects(space.dist)[0])
     return space._spectrum
 
 
@@ -228,7 +293,8 @@ def diameter(space: Space) -> Fraction:
 
 
 def restrict(space: Space, subset: Iterable[str]) -> Space:
-    """The subspace induced on ``subset``, keeping the original point order."""
+    """The subspace induced on ``subset``, keeping the original point order
+    and, when the space has them, its distance ranks."""
     wanted = set(subset)
     if not wanted:
         raise EmptySubset()
@@ -236,9 +302,14 @@ def restrict(space: Space, subset: Iterable[str]) -> Space:
         if p not in space._index:
             raise UnknownPoint(p)
     keep = [i for i, p in enumerate(space.points) if p in wanted]
-    pts = [space.points[i] for i in keep]
-    d = [[space.dist[i][j] for j in keep] for i in keep]
-    return Space(pts, d)
+    sub = Space([space.points[i] for i in keep], _slice(space.dist, keep))
+    if space._ranks is not None:
+        sub._ranks = _slice(space._ranks, keep)
+    return sub
+
+
+def _slice(rows, keep: list[int]) -> list[tuple]:
+    return [tuple([row[j] for j in keep]) for row in map(rows.__getitem__, keep)]
 
 
 def to_plain(value):

@@ -150,7 +150,7 @@ class SingularBall(UltrametricError):
 
 class TooLarge(UltrametricError):
     def __init__(self, what, size, limit):
-        super().__init__(f"{what}: instance size {size} exceeds the oracle cutoff {limit}")
+        super().__init__(f"{what}: instance size {size} exceeds the limit {limit}")
         self.what, self.size, self.limit = what, size, limit
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ZERO, Space
+from .core import ZERO, Space, excess_pair, prim_order, rank_matrix
 from .errors import (
     InvalidTree,
     LabelMonotonicityViolation,
@@ -67,7 +67,7 @@ class RootedTree:
             raise InvalidTree("labels, children and points must be parallel nonempty arrays")
         if not 0 <= root < n:
             raise UnknownNode(root)
-        self.labels = tuple(Fraction(l) for l in labels)
+        self.labels = tuple(l if type(l) is Fraction else Fraction(l) for l in labels)
         kids = [tuple(ch) for ch in children]
         self.points = tuple(points)
         self.root = root
@@ -205,14 +205,19 @@ class RootedTree:
 
 
 def build_representing_tree(space: Space) -> RootedTree:
-    """Construct the canonical representing tree of a valid space.
+    """Construct the canonical representing tree of a valid space, in O(n²).
 
-    Works by merging clusters in ascending distance order: the clusters
-    joined by pairs at distance v become the children of a node labeled v.
-    For an ultrametric this reproduces exactly the recursive decomposition
-    of each ball into the parts of its diametrical graph.  A pair whose
-    distance exceeds a chain of smaller distances between its points
-    raises NotUltrametric.
+    Prim's algorithm on the integer distance ranks (``core.rank_matrix``,
+    kept by ``restrict``) orders the points v0..v(n-1), with edge ranks
+    e1..e(n-1).  Prim finishes a ball before it leaves it, since every
+    point outside a ball is farther from it than the ball's diameter, so
+    d(vi, vj) = max(e(i+1)..ej), and the tree is the Cartesian tree of the
+    edge ranks: a monotone stack builds it, equal neighbouring ranks under
+    one node.  Leaves are numbered 0..n-1 in point order, internal nodes
+    by (label, lowest point index) after them, and each label is a matrix
+    entry.  Only the upper triangle counts; if it is not ultrametric,
+    NotUltrametric names the first pair in (distance, i, j) order whose
+    distance exceeds the largest spanning-tree edge between its points.
     """
     pts = space.points
     n = len(pts)
@@ -222,46 +227,65 @@ def build_representing_tree(space: Space) -> RootedTree:
     if n == 1:
         return RootedTree(labels, children, points, root=0)
 
-    buckets: dict[Fraction, list[tuple[int, int]]] = {}
-    for i in range(n):
-        row = space.dist[i]
-        for j in range(i + 1, n):
-            buckets.setdefault(row[j], []).append((i, j))
+    rk = rank_matrix(space)
+    if any(rk[i][i] for i in range(n)):
+        # an unvalidated diagonal or negative entries: put the diagonal
+        # below every rank, so Prim reads only pairs
+        rk = [row[:i] + (-1,) + row[i + 1 :] for i, row in enumerate(rk)]
+    prim = prim_order(rk)
+    if prim is None:
+        i, j = excess_pair(rk)
+        raise NotUltrametric(pts[i], pts[j])
+    order, parent, edge = prim
 
-    dsu = list(range(n))
+    # internal node t (t >= n) has rank[t - n], label[t - n] and kids[t - n];
+    # low[t] is the lowest point index under any node t
+    rank: list[int] = []
+    label: list[Fraction] = []
+    kids: list[list[int]] = []
+    low = list(range(n))
+    stack: list[int] = []  # open internal nodes, ranks falling toward the top
 
-    def find(a: int) -> int:
-        while dsu[a] != a:
-            dsu[a] = dsu[dsu[a]]
-            a = dsu[a]
-        return a
+    def adopt(t: int, c: int) -> None:
+        kids[t - n].append(c)
+        if low[c] < low[t]:
+            low[t] = low[c]
 
-    node_of = {i: i for i in range(n)}
-    for value in sorted(buckets):
-        edges = buckets[value]
-        olds: dict[int, int] = {}
-        for i, j in edges:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                raise NotUltrametric(pts[i], pts[j])
-            if ri not in olds:
-                olds[ri] = node_of[ri]
-            if rj not in olds:
-                olds[rj] = node_of[rj]
-        for i, j in edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                dsu[ri] = rj
-        groups: dict[int, list[int]] = {}
-        for r, nid in olds.items():
-            groups.setdefault(find(r), []).append(nid)
-        for nr, kids in groups.items():
-            nid = len(labels)
-            labels.append(value)
-            children.append(tuple(kids))
-            points.append(None)
-            node_of[nr] = nid
-    return RootedTree(labels, children, points, root=len(labels) - 1)
+    cur = order[0]
+    for v in order[1:]:
+        e = edge[v]
+        while stack and rank[stack[-1] - n] < e:
+            t = stack.pop()
+            adopt(t, cur)
+            cur = t
+        if stack and rank[stack[-1] - n] == e:
+            adopt(stack[-1], cur)
+        else:
+            p = parent[v]
+            rank.append(e)
+            label.append(space.dist[p][v] if p < v else space.dist[v][p])
+            kids.append([cur])
+            low.append(low[cur])
+            stack.append(len(low) - 1)
+        cur = v
+    while stack:
+        t = stack.pop()
+        adopt(t, cur)
+        cur = t
+
+    # ids by (label, lowest point) and children by lowest point, so neither
+    # node ids nor the order RootedTree checks nodes in (which names the
+    # node an unvalidated matrix fails on) depend on the Prim order
+    m = len(rank)
+    created = sorted(range(n, n + m), key=lambda t: (rank[t - n], low[t]))
+    new_id = list(range(n + m))
+    for k, t in enumerate(created, n):
+        new_id[t] = k
+    for t in created:
+        labels.append(label[t - n])
+        children.append(tuple(new_id[c] for c in sorted(kids[t - n], key=low.__getitem__)))
+        points.append(None)
+    return RootedTree(labels, children, points, root=n + m - 1)
 
 
 def multipartite_parts(space: Space) -> list[frozenset[str]]:

@@ -13,6 +13,8 @@ from itertools import combinations
 from math import comb
 
 from ultraforest.core import Space, restrict
+from ultraforest.errors import NotUltrametric
+from ultraforest.tree import RootedTree
 
 
 def ultrametric_violation(matrix) -> tuple[int, int, int] | None:
@@ -257,3 +259,59 @@ def _assignments(k: int, values):
     for rest in _assignments(k - 1, values):
         for v in values:
             yield rest + (v,)
+
+
+def bucket_merge_tree(space: Space) -> RootedTree:
+    """The representing tree by merging clusters in ascending distance order.
+
+    The pairs (i < j) are bucketed by their distance; the clusters joined
+    by a bucket become the children of a node labeled with its value, in
+    the order the pairs first touch them, and nodes are numbered as they
+    are made.  A pair whose points some smaller distances already join
+    raises NotUltrametric.
+    """
+    pts = space.points
+    n = len(pts)
+    labels: list = [Fraction(0)] * n
+    children: list[tuple[int, ...]] = [()] * n
+    points: list[str | None] = list(pts)
+    if n == 1:
+        return RootedTree(labels, children, points, root=0)
+
+    buckets: dict = {}
+    for i in range(n):
+        row = space.dist[i]
+        for j in range(i + 1, n):
+            buckets.setdefault(row[j], []).append((i, j))
+
+    dsu = list(range(n))
+
+    def find(a: int) -> int:
+        while dsu[a] != a:
+            dsu[a] = dsu[dsu[a]]
+            a = dsu[a]
+        return a
+
+    node_of = {i: i for i in range(n)}
+    for value in sorted(buckets):
+        edges = buckets[value]
+        olds: dict[int, int] = {}
+        for i, j in edges:
+            ri, rj = find(i), find(j)
+            if ri == rj:
+                raise NotUltrametric(pts[i], pts[j])
+            olds.setdefault(ri, node_of[ri])
+            olds.setdefault(rj, node_of[rj])
+        for i, j in edges:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                dsu[ri] = rj
+        groups: dict[int, list[int]] = {}
+        for r, nid in olds.items():
+            groups.setdefault(find(r), []).append(nid)
+        for nr, kids in groups.items():
+            node_of[nr] = len(labels)
+            labels.append(value)
+            children.append(tuple(kids))
+            points.append(None)
+    return RootedTree(labels, children, points, root=len(labels) - 1)

@@ -288,6 +288,11 @@ class TestConvert:
         assert code == 0
         assert out.startswith("digraph") and out.count(" -> ") == 2 * 599
 
+    def test_height_error_names_the_limit(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["convert", path_file(tmp_path, 600), "--to", "tree"])
+        assert (code, out) == (2, "")
+        assert err == f"error: tree JSON height: instance size 599 exceeds the limit {TREE_JSON_MAX_HEIGHT}\n"
+
     def test_tree_at_the_height_limit_round_trips(self, capsys, tmp_path):
         path = path_file(tmp_path, TREE_JSON_MAX_HEIGHT + 1)
         code, tree_text, err = run(capsys, ["convert", path, "--to", "tree"])

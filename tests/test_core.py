@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultraforest import core
 from ultraforest.core import (
     ZERO,
     Space,
-    _equals_subdominant,
     diameter,
     point_spectrum,
+    prim_order,
+    rank_matrix,
     restrict,
     spectrum,
     to_plain,
@@ -24,7 +26,8 @@ from ultraforest.errors import (
     StrongTriangleViolation,
     UnknownPoint,
 )
-from ultraforest.gen import random_space
+from ultraforest.gen import enumerate_spaces, random_space
+from ultraforest.tree import build_representing_tree
 
 from .conftest import space_from_rows
 from .oracles import first_strong_triangle_violation, ultrametric_violation
@@ -172,6 +175,10 @@ class TestGomoryHuBound:
         assert rebuilt == space
 
 
+def _fresh_spectrum(space):
+    return tuple(sorted({ZERO}.union(*map(set, space.dist))))
+
+
 def _ranks(matrix):
     values = sorted({v for row in matrix for v in row})
     return [[values.index(v) for v in row] for row in matrix]
@@ -238,22 +245,77 @@ class TestFastValidation:
         expected, triple = _expected_rejection(matrix)
         if expected is None:
             assert ultrametric_violation(matrix) is None
-            assert _equals_subdominant(_ranks(matrix))  # no cubic scan
+            assert prim_order(_ranks(matrix)) is not None  # no cubic scan
             space = validate_space(matrix, points)
-            fresh = tuple(sorted({ZERO}.union(*map(set, space.dist))))
-            assert spectrum(space) == fresh
+            assert spectrum(space) == _fresh_spectrum(space)
             assert diameter(space) == max(max(row) for row in matrix)
             return
         with pytest.raises(expected) as exc:
             validate_space(matrix, points)
         if expected is StrongTriangleViolation:
             assert ultrametric_violation(matrix) is not None
-            assert not _equals_subdominant(_ranks(matrix))
+            assert prim_order(_ranks(matrix)) is None
             assert (exc.value.x, exc.value.y, exc.value.z) == tuple(points[t] for t in triple)
 
     def test_spectrum_is_computed_once(self, figure16):
         assert spectrum(figure16) is spectrum(figure16)
         assert diameter(figure16) == spectrum(figure16)[-1]
+
+
+class TestRanks:
+    """A space encodes its distances once; what it keeps matches a fresh
+    recompute."""
+
+    def test_prim_order(self, isosceles):
+        order, parent, edge = prim_order(rank_matrix(isosceles))
+        assert order == [0, 1, 2]
+        assert (parent[1], edge[1]) == (0, 1) and (parent[2], edge[2]) == (0, 2)
+
+    def test_build_seeds_ranks_and_spectrum(self):
+        asymmetric = Space(["a", "b", "c"], [[0, 1, 2], [3, 0, 2], [Fraction(2), 2, 0]])
+        for space in (random_space(30, 5), asymmetric):
+            assert space._ranks is None and space._spectrum is None
+            build_representing_tree(space)
+            fresh = Space(space.points, space.dist)
+            assert space._spectrum == _fresh_spectrum(fresh) == spectrum(fresh)
+            assert space._ranks == rank_matrix(fresh)
+            sp, n = space._spectrum, len(space)
+            # each pair by its upper-triangle entry, the only one the tree reads
+            assert all(
+                sp[space._ranks[i][j]] == space.dist[min(i, j)][max(i, j)]
+                for i in range(n)
+                for j in range(n)
+            )
+        assert asymmetric._spectrum == (0, 1, 2, 3)
+
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10_000))
+    def test_restrict_slices_ranks(self, n, seed):
+        generated = random_space(n, seed)
+        space = validate_space(generated.dist, generated.points)
+        sub = restrict(space, space.points[::2])
+        fresh = Space(sub.points, sub.dist)
+        sp, fresh_sp, fresh_rk = spectrum(space), spectrum(fresh), rank_matrix(fresh)
+        # the parent's ranks keep their order in the subset
+        assert [[sp[r] for r in row] for row in sub._ranks] == [list(row) for row in sub.dist]
+        assert [[fresh_sp[r] for r in row] for row in fresh_rk] == [list(row) for row in sub.dist]
+        assert spectrum(sub) == fresh_sp == _fresh_spectrum(sub)
+
+    def test_restrict_without_ranks_encodes_later(self):
+        space = random_space(9, 2)
+        sub = restrict(space, space.points[:5])
+        assert sub._ranks is None
+        assert rank_matrix(sub) == rank_matrix(Space(sub.points, sub.dist))
+
+    def test_deletions_are_not_encoded_again(self, monkeypatch):
+        calls = []
+        encode = core._encode
+        monkeypatch.setattr(core, "_encode", lambda rows: calls.append(1) or encode(rows))
+        for space in enumerate_spaces(6)[:20]:
+            space = Space(space.points, space.dist)
+            build_representing_tree(space)
+            for x in space.points:
+                build_representing_tree(restrict(space, set(space.points) - {x}))
+        assert len(calls) == 20
 
 
 class TestToPlain:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ultraforest.canonical import canonical_code
 from ultraforest.core import Space, diameter, restrict, spectrum
@@ -13,7 +13,7 @@ from ultraforest.errors import (
     UltrametricError,
     UnknownNode,
 )
-from ultraforest.gen import enumerate_rank_trees, enumerate_spaces, random_space
+from ultraforest.gen import enumerate_rank_trees, enumerate_spaces, random_space, random_unrooted
 from ultraforest.tree import (
     RootedTree,
     ballean,
@@ -24,9 +24,10 @@ from ultraforest.tree import (
     node_info,
     tree_to_space,
 )
+from ultraforest.unrooted import space_from_unrooted
 
 from .conftest import build_uniform_tree, space_from_rows
-from .oracles import all_balls, recursive_tree_code
+from .oracles import all_balls, bucket_merge_tree, recursive_tree_code
 
 
 class TestRootedTreeValidation:
@@ -180,6 +181,81 @@ class TestBuildRepresentingTree:
     def test_agrees_with_recursive_construction_on_random(self, n, seed):
         space = random_space(n, seed)
         assert canonical_code(build_representing_tree(space)) == recursive_tree_code(space)
+
+
+def _outcome(build, space):
+    """A tree as its parallel arrays and label types, or an exception as
+    its class and message."""
+    try:
+        t = build(space)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return t.labels, tuple(map(type, t.labels)), t.children, t.points, t.root
+
+
+def _assert_bucket_merge_tree(space):
+    assert _outcome(build_representing_tree, space) == _outcome(bucket_merge_tree, space)
+
+
+_ENTRIES = [-1, 0, 1, 2, 3] + [Fraction(v) for v in (-1, 0, "1/2", 1, 2, "5/2")]
+
+
+@st.composite
+def unvalidated_matrices(draw):
+    """Small matrices as Space() takes them unchecked: int and Fraction
+    entries mixed, zero or negative off the diagonal, not always ultrametric;
+    often symmetric with a zero diagonal, so trees come out as well."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.sampled_from(_ENTRIES)
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                m[i][j] = m[j][i]
+    return m
+
+
+class TestAgainstBucketMerge:
+    """The Prim-order build makes the bucket merge's tree node for node:
+    labels and their types, children, points, root and so every node id."""
+
+    def test_enumerated_spaces(self):
+        for n in range(1, 9):
+            for space in enumerate_spaces(n):
+                _assert_bucket_merge_tree(space)
+
+    def test_one_point_deletions_on_sliced_ranks(self):
+        for n in range(2, 8):
+            for space in enumerate_spaces(n):
+                space = Space(space.points, space.dist)
+                build_representing_tree(space)
+                for x in space.points:
+                    sub = restrict(space, set(space.points) - {x})
+                    assert sub._ranks is not None
+                    _assert_bucket_merge_tree(sub)
+
+    def test_random_spaces(self):
+        for n in list(range(1, 41)) + [100, 200]:
+            for seed in range(3):
+                _assert_bucket_merge_tree(random_space(n, seed))
+                _assert_bucket_merge_tree(space_from_unrooted(random_unrooted(n, seed)))
+
+    def test_caterpillar_and_star(self):
+        for n in (2, 3, 50, 200):
+            pts = [f"x{i}" for i in range(n)]
+            values = [Fraction(k) for k in range(n)]
+            caterpillar = [[values[max(i, j)] if i != j else values[0] for j in range(n)] for i in range(n)]
+            star = [[values[min(1, abs(i - j))] for j in range(n)] for i in range(n)]
+            _assert_bucket_merge_tree(Space(pts, caterpillar))
+            _assert_bucket_merge_tree(Space(pts, star))
+
+    @settings(max_examples=500)
+    @given(unvalidated_matrices())
+    def test_unvalidated_matrices(self, m):
+        _assert_bucket_merge_tree(Space([f"p{i}" for i in range(len(m))], m))
 
 
 class TestTreeToSpace:
