@@ -25,8 +25,6 @@ def node_codes(tree: RootedTree, mode: str = "labeled") -> tuple[str, ...]:
     """Per-node canonical code strings for the requested mode."""
     if mode not in MODES:
         raise FormatMismatch(f"unknown canonical mode {mode!r}")
-    if mode == "labeled":
-        return tree._labeled_code
     cached = tree._code_cache.get(mode)
     if cached is not None:
         return cached

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .canonical import are_isometric, canonical_code, codes_from_tokens, count_self_isometries
-from .core import Space, Verdict, diameter, point_spectrum, restrict, spectrum
+from .core import Space, Verdict, diameter, point_spectrum, rank_matrix, restrict, spectrum
 from .errors import (
     FormatMismatch,
     MissingLeafChild,
@@ -259,12 +259,15 @@ def hamilton_oracle_strictly_binary(space: Space) -> bool:
 
 
 def brute_force_ballean(space: Space) -> set[frozenset[str]]:
-    """All closed balls, computed directly from the matrix."""
+    """All closed balls, computed directly from the matrix of distance
+    ranks.  The radii are the ranks present, not 0..k: a subspace keeps
+    its parent's ranks."""
     pts = space.points
+    rk = rank_matrix(space)
+    radii = sorted({r for row in rk for r in row})
     out = set()
-    sp = spectrum(space)
-    for row in space.dist:
-        for r in sp:
+    for row in rk:
+        for r in radii:
             out.add(frozenset(pts[j] for j in range(len(pts)) if row[j] <= r))
     return out
 
@@ -285,13 +288,10 @@ def ball_count_formula_holds(tree: RootedTree, n: int) -> bool:
     return True
 
 
-def equidistant_partition(
-    space: Space, ball: frozenset[str], tree: RootedTree | None = None
-) -> list[frozenset[str]]:
+def equidistant_partition(space: Space, ball: frozenset[str]) -> list[frozenset[str]]:
     """Split a nonsingular ball into its maximal sub-balls; any two parts
     sit at the constant distance diam(ball) from each other."""
-    if tree is None:
-        tree = build_representing_tree(space)
+    tree = build_representing_tree(space)
     ball = frozenset(ball)
     for v in tree.preorder():
         if tree.leaf_set(v) == ball:
@@ -386,12 +386,11 @@ def shape_spectrum_injective_criterion(tree: RootedTree) -> Verdict:
     return has_inner_chain_equal_tail(tree)
 
 
-def shape_spectrum_oracle(space: Space, tree: RootedTree | None = None) -> bool:
+def shape_spectrum_oracle(space: Space) -> bool:
     """Exhaustive decision: relabel the shape with every strictly decreasing
     surjection onto the positive spectrum values and ask whether all
     resulting spaces are isometric to this one.  Limited to 6 internal nodes."""
-    if tree is None:
-        tree = build_representing_tree(space)
+    tree = build_representing_tree(space)
     internals = tree.internal_nodes()
     if len(internals) > SHAPE_SPECTRUM_ORACLE_LIMIT:
         raise TooLarge("shape-spectrum oracle", len(internals), SHAPE_SPECTRUM_ORACLE_LIMIT)
@@ -425,7 +424,7 @@ def shape_spectrum_oracle(space: Space, tree: RootedTree | None = None) -> bool:
     return walk(0)
 
 
-def is_shape_spectrum_determined(space: Space, tree: RootedTree | None = None) -> Verdict:
+def is_shape_spectrum_determined(space: Space) -> Verdict:
     """Best available decision, most authoritative basis first.
 
     The witness records the basis: "oracle" and "injective_labels" are
@@ -433,10 +432,9 @@ def is_shape_spectrum_determined(space: Space, tree: RootedTree | None = None) -
     with that basis means undecided-by-fast-criteria (its ``exact`` flag
     is False).
     """
-    if tree is None:
-        tree = build_representing_tree(space)
+    tree = build_representing_tree(space)
     if len(tree.internal_nodes()) <= SHAPE_SPECTRUM_ORACLE_LIMIT:
-        res = shape_spectrum_oracle(space, tree)
+        res = shape_spectrum_oracle(space)
         return Verdict(res, witness={"basis": "oracle", "exact": True})
     if has_injective_internal_labels(tree):
         res = shape_spectrum_injective_criterion(tree)
@@ -463,7 +461,7 @@ _CLASSES = {
     "rigid": lambda space, tree: is_rigid(tree),
     "inner_chain": lambda space, tree: has_inner_chain(tree),
     "inner_chain_equal_tail": lambda space, tree: has_inner_chain_equal_tail(tree),
-    "shape_spectrum_determined": lambda space, tree: is_shape_spectrum_determined(space, tree),
+    "shape_spectrum_determined": lambda space, tree: is_shape_spectrum_determined(space),
     "homogeneous": lambda space, tree: is_homogeneous(tree),
     "leaves_same_level": lambda space, tree: leaves_same_level(tree),
     "labels_same_level": lambda space, tree: labels_same_level(tree),
@@ -474,13 +472,12 @@ _CLASSES = {
 CLASS_IDS = tuple(_CLASSES)
 
 
-def membership(class_id: str, space: Space, tree: RootedTree | None = None) -> bool:
+def membership(class_id: str, space: Space) -> bool:
     """Exact class membership; raises TooLarge where only an oversized
     oracle could decide."""
     if class_id not in CLASS_IDS:
         raise UnknownClass(class_id)
-    if tree is None:
-        tree = build_representing_tree(space)
+    tree = build_representing_tree(space)
     verdict = _CLASSES[class_id](space, tree)
     if not verdict and isinstance(verdict.witness, dict) and verdict.witness.get("exact") is False:
         raise TooLarge(
@@ -675,7 +672,7 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
 
     # level graph decomposition read off the tree matches the graphs
     for r in positives:
-        pieces = decompose_level_graph(space, r, tree)
+        pieces = decompose_level_graph(space, r)
         labeled_nodes = [v for v in tree.internal_nodes() if tree.labels[v] == r]
         piece_vertices = [frozenset().union(*parts) for _, parts in pieces]
         graph_vertices = sorted(sorted(c.vertices) for c in comps[r])

@@ -70,7 +70,7 @@ class Space:
     Construct untrusted matrices through :func:`validate_space`.
     """
 
-    __slots__ = ("points", "dist", "_index", "_spectrum", "_ranks")
+    __slots__ = ("points", "dist", "_index", "_spectrum", "_ranks", "_tree")
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[Fraction]]):
         self.points: tuple[str, ...] = tuple(points)
@@ -78,6 +78,7 @@ class Space:
         self._index = {p: i for i, p in enumerate(self.points)}
         self._spectrum = None
         self._ranks = None
+        self._tree = None  # set by tree.build_representing_tree
 
     def __len__(self) -> int:
         return len(self.points)

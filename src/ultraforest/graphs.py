@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .core import Space, spectrum
 from .errors import AllVerticesIsolated, FormatMismatch, ValueNotInSpectrum, ZeroRadius
-from .tree import RootedTree
+from .tree import build_representing_tree
 
 
 @dataclass(frozen=True)
@@ -134,19 +134,18 @@ def complete_multipartite_parts(g: SimpleGraph) -> list[frozenset[str]] | None:
     return out
 
 
-def decompose_level_graph(
-    space: Space, r: Fraction, tree: RootedTree
-) -> list[tuple[int, list[frozenset[str]]]]:
+def decompose_level_graph(space: Space, r: Fraction) -> list[tuple[int, list[frozenset[str]]]]:
     """Pieces of the stripped level graph at r, read off the representing tree.
 
     One piece per internal node labeled r, given as (node id, ball
     partition); the partition's parts are the parts of that piece as a
-    complete multipartite graph.  ``tree`` represents ``space``, so r is in
-    the spectrum iff some node carries it.
+    complete multipartite graph.  The internal labels are the positive
+    spectrum values, so r is in the spectrum iff some node carries it.
     """
     r = Fraction(r)
     if r == 0:
         raise ZeroRadius()
+    tree = build_representing_tree(space)
     pieces = [(v, tree.ball_partition(v)) for v in tree.preorder() if tree.labels[v] == r]
     if not pieces:
         raise ValueNotInSpectrum(r)

@@ -47,7 +47,6 @@ class RootedTree:
         "children",
         "points",
         "root",
-        "_labeled_code",
         "_preorder",
         "_parent",
         "_level",
@@ -121,7 +120,6 @@ class RootedTree:
                 minleaf[v] = min(minleaf[c] for c in ch)
 
         self.children = tuple(kids)
-        self._labeled_code = tuple(code)
         order = []  # the same walk over the canonical child order
         stack = [root]
         while stack:
@@ -132,7 +130,7 @@ class RootedTree:
         self._parent = None
         self._level = None
         self._leaf_sets = None
-        self._code_cache = {}
+        self._code_cache = {"labeled": tuple(code)}  # mode -> per-node codes
 
     # ------------------------------------------------------------ queries
 
@@ -205,7 +203,9 @@ class RootedTree:
 
 
 def build_representing_tree(space: Space) -> RootedTree:
-    """Construct the canonical representing tree of a valid space, in O(n²).
+    """Construct the canonical representing tree of a valid space, in O(n²),
+    once: the space keeps it for later calls.  A failed build keeps
+    nothing, and ``restrict`` passes no tree on.
 
     Prim's algorithm on the integer distance ranks (``core.rank_matrix``,
     kept by ``restrict``) orders the points v0..v(n-1), with edge ranks
@@ -219,14 +219,13 @@ def build_representing_tree(space: Space) -> RootedTree:
     NotUltrametric names the first pair in (distance, i, j) order whose
     distance exceeds the largest spanning-tree edge between its points.
     """
+    if space._tree is not None:
+        return space._tree
     pts = space.points
     n = len(pts)
     labels: list[Fraction] = [ZERO] * n
     children: list[tuple[int, ...]] = [()] * n
     points: list[str | None] = list(pts)
-    if n == 1:
-        return RootedTree(labels, children, points, root=0)
-
     rk = rank_matrix(space)
     if any(rk[i][i] for i in range(n)):
         # an unvalidated diagonal or negative entries: put the diagonal
@@ -285,7 +284,8 @@ def build_representing_tree(space: Space) -> RootedTree:
         labels.append(label[t - n])
         children.append(tuple(new_id[c] for c in sorted(kids[t - n], key=low.__getitem__)))
         points.append(None)
-    return RootedTree(labels, children, points, root=n + m - 1)
+    space._tree = RootedTree(labels, children, points, root=n + m - 1)
+    return space._tree
 
 
 def multipartite_parts(space: Space) -> list[frozenset[str]]:

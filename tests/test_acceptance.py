@@ -252,11 +252,11 @@ def test_criterion_6_shape_spectrum_base_cases():
         for space in enumerate_spaces(n):
             tree = build_representing_tree(space)
             if shape_spectrum_guarantee(tree):
-                assert shape_spectrum_oracle(space, tree), space.points
+                assert shape_spectrum_oracle(space), space.points
                 guaranteed += 1
             if has_injective_internal_labels(tree):
                 assert bool(shape_spectrum_injective_criterion(tree)) == bool(
-                    shape_spectrum_oracle(space, tree)
+                    shape_spectrum_oracle(space)
                 ), space.points
     print(
         f"\nPASS: criterion 6 — all {small} spaces of <= 4 points are "

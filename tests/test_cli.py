@@ -340,21 +340,105 @@ def matrix_files(draw):
     return "\n".join(",".join(row) for row in [points, *rows]) + "\n"
 
 
+_BAD_LABELS = st.sampled_from(["-1", "x", "", "1/0", None, True, 1.5, [1]])
+
+
+@st.composite
+def tree_objs(draw):
+    """Tree JSON, valid unless a drawn fault breaks it: a bad or missing
+    label, a missing, non-string or repeated point, a point on an internal
+    node, children that are not a list."""
+    nodes: list[dict] = []
+
+    def node(top: int) -> dict:
+        if top <= 1 or draw(st.booleans()):
+            obj = {"label": "0", "point": f"p{len(nodes)}"}
+        else:
+            label = draw(st.integers(min_value=1, max_value=top - 1))
+            kids = [node(label) for _ in range(draw(st.integers(min_value=2, max_value=3)))]
+            obj = {"label": str(label), "children": kids}
+        nodes.append(obj)
+        return obj
+
+    root = node(4)
+    for fault in draw(st.lists(st.sampled_from(["label", "no_label", "point", "no_point", "children"]), max_size=2)):
+        target = draw(st.sampled_from(nodes))
+        if fault == "label":
+            target["label"] = draw(_BAD_LABELS)
+        elif fault == "no_label":
+            target.pop("label", None)
+        elif fault == "point":
+            target["point"] = draw(st.sampled_from([1, None, ["p0"], "p0"]))
+        elif fault == "no_point":
+            target.pop("point", None)
+        else:
+            target["children"] = draw(st.sampled_from(["x", None, [], [1]]))
+    return root
+
+
+@st.composite
+def unrooted_objs(draw):
+    """Unrooted JSON, a labeled tree unless a drawn fault breaks it: a bad
+    label, a non-string or repeated id, an unknown vertex, a loop, a short
+    edge, a missing edge."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    ids = [f"v{i}" for i in range(n)]
+    vertices = [{"id": v, "label": str(draw(st.integers(min_value=0, max_value=3)))} for v in ids]
+    edges = [[ids[draw(st.integers(min_value=0, max_value=i - 1))], ids[i]] for i in range(1, n)]
+    for fault in draw(st.lists(st.sampled_from(["label", "id", "unknown", "loop", "short", "drop"]), max_size=2)):
+        if fault == "label":
+            draw(st.sampled_from(vertices))["label"] = draw(_BAD_LABELS)
+        elif fault == "id":
+            draw(st.sampled_from(vertices))["id"] = draw(st.sampled_from([1, None, "v0"]))
+        elif fault == "unknown":
+            edges.append([ids[0], "z"])
+        elif fault == "loop":
+            edges.append([ids[-1], ids[-1]])
+        elif fault == "short":
+            edges.append([ids[0]])
+        elif edges:
+            edges.pop()
+    return {"vertices": vertices, "edges": edges}
+
+
+_COMMANDS = [
+    ["convert", "--to", kind, *flags]
+    for kind in ("matrix", "tree", "unrooted")
+    for flags in ([], ["--format", "json"], ["--dot"])
+] + [["tree"], ["classify"], ["validate"], ["fingerprint"]]
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestNoTraceback:
     @given(matrix_files())
     def test_validate_exits_zero_or_two(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.txt"
             path.write_text(text)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["validate", str(path)])
+            code, out, err = _main_captured(["validate", str(path)])
         if code == 0:
-            assert err.getvalue() == "" and out.getvalue().startswith("valid:")
+            assert err == "" and out.startswith("valid:")
         else:
             assert code == 2
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    @given(tree_objs() | unrooted_objs())
+    def test_tree_and_unrooted_input_exits_zero_one_or_two(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.json"
+            path.write_text(json.dumps(obj))
+            for command in _COMMANDS:
+                code, out, err = _main_captured([command[0], str(path), *command[1:]])
+                assert code in (0, 1, 2), command
+                if code == 2:
+                    assert err.startswith("error:") and err.count("\n") == 1, (command, err)
 
 
 class TestHereditary:

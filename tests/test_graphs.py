@@ -16,7 +16,7 @@ from ultraforest.graphs import (
     make_graph,
     strip_isolated,
 )
-from ultraforest.tree import build_representing_tree, multipartite_parts
+from ultraforest.tree import multipartite_parts
 
 from .oracles import multipartite_parts_brute
 
@@ -160,16 +160,14 @@ class TestCompleteMultipartite:
 
 class TestDecomposeLevelGraph:
     def test_figure_at_one(self, figure16):
-        tree = build_representing_tree(figure16)
-        pieces = decompose_level_graph(figure16, 1, tree)
+        pieces = decompose_level_graph(figure16, 1)
         assert len(pieces) == 4
         part_shapes = sorted(sorted(len(p) for p in parts) for _, parts in pieces)
         assert part_shapes == [[1, 1], [1, 1], [1, 1], [1, 1, 1]]
 
     def test_matches_graph_components(self, figure16):
-        tree = build_representing_tree(figure16)
         for r in spectrum(figure16)[1:]:
-            pieces = decompose_level_graph(figure16, r, tree)
+            pieces = decompose_level_graph(figure16, r)
             comps = connected_components(strip_isolated(level_graph(figure16, r)))
             assert len(pieces) == len(comps)
             piece_parts = sorted(
@@ -182,11 +180,10 @@ class TestDecomposeLevelGraph:
             assert piece_parts == comp_parts
 
     def test_bad_radius(self, figure16):
-        tree = build_representing_tree(figure16)
         with pytest.raises(ZeroRadius):
-            decompose_level_graph(figure16, 0, tree)
+            decompose_level_graph(figure16, 0)
         with pytest.raises(ValueNotInSpectrum):
-            decompose_level_graph(figure16, 99, tree)
+            decompose_level_graph(figure16, 99)
 
 
 class TestDiametricalGraph:

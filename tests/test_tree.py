@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultraforest.canonical import canonical_code
+from ultraforest.classify import CLASS_IDS, classify, membership
 from ultraforest.core import Space, diameter, restrict, spectrum
 from ultraforest.errors import (
     InvalidTree,
@@ -181,6 +182,40 @@ class TestBuildRepresentingTree:
     def test_agrees_with_recursive_construction_on_random(self, n, seed):
         space = random_space(n, seed)
         assert canonical_code(build_representing_tree(space)) == recursive_tree_code(space)
+
+
+class TestTreeKeptOnSpace:
+    def test_built_once(self, figure16):
+        assert build_representing_tree(figure16) is build_representing_tree(figure16)
+
+    def test_classify_and_membership_reuse_the_tree(self, monkeypatch):
+        space = random_space(6, 3)
+        built = []
+        init = RootedTree.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RootedTree, "__init__", counting)
+        tree = build_representing_tree(space)
+        classify(space)
+        for cid in CLASS_IDS:
+            membership(cid, space)
+        assert built == [tree]
+
+    def test_failed_build_keeps_nothing(self):
+        space = Space(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        for _ in range(2):
+            with pytest.raises(NotUltrametric):
+                build_representing_tree(space)
+        assert space._tree is None
+
+    def test_restrict_does_not_pass_the_tree_on(self, figure16):
+        build_representing_tree(figure16)
+        sub = restrict(figure16, figure16.points[:5])
+        assert sub._tree is None
+        assert sorted(build_representing_tree(sub).leaf_points()) == sorted(figure16.points[:5])
 
 
 def _outcome(build, space):
