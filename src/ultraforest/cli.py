@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .canonical import MODES, are_isometric, are_weakly_similar, canonical_code
@@ -178,6 +177,8 @@ def _cmd_audit(args, out: _Output) -> int:
             spaces.extend(enumerate_spaces(n))
         threads = _threads(len(spaces))
         if threads > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 per_space = list(pool.map(_audit_one, spaces))
         else:
@@ -240,22 +241,16 @@ def _cmd_convert(args, out: _Output) -> int:
     kind, value = _load_input(text, args.src_kind)
     target = args.dst_kind
 
+    # walk the chain from the input's kind to the target (only a tree bound
+    # for a matrix steps back); names bind per call, so patches apply
+    chain = ("unrooted", "matrix", "tree", "unrooted")
+    steps = (space_from_unrooted, build_representing_tree, unrooted_from_representing)
     try:
-        if target == "matrix":
-            if kind == "tree":
-                value = tree_to_space(value)
-            elif kind == "unrooted":
-                value = space_from_unrooted(value)
-        elif target == "tree":
-            if kind == "matrix":
-                value = build_representing_tree(value)
-            elif kind == "unrooted":
-                value = build_representing_tree(space_from_unrooted(value))
-        elif target == "unrooted":
-            if kind == "matrix":
-                value = unrooted_from_representing(build_representing_tree(value))
-            elif kind == "tree":
-                value = unrooted_from_representing(value)
+        if kind == "tree" and target == "matrix":
+            kind, value = "matrix", tree_to_space(value)
+        start = chain.index(kind)
+        for step in steps[start : chain.index(target, start)]:
+            value = step(value)
     except (MissingLeafChild, NotUltrametricGenerating) as exc:
         out.emit(
             [f"not convertible: {exc}"],
@@ -268,18 +263,11 @@ def _cmd_convert(args, out: _Output) -> int:
             out.emit([], space_to_json_obj(value))
         else:
             out.write(space_to_csv(value))
-    elif target == "tree":
-        if args.dot:
-            out.write(tree_to_dot(value))
-        else:
-            obj = tree_to_json_obj(value)
-            out.emit([json.dumps(obj, indent=2)], obj)
+    elif args.dot:
+        out.write((tree_to_dot if target == "tree" else unrooted_to_dot)(value))
     else:
-        if args.dot:
-            out.write(unrooted_to_dot(value))
-        else:
-            obj = unrooted_to_json_obj(value)
-            out.emit([json.dumps(obj, indent=2)], obj)
+        obj = (tree_to_json_obj if target == "tree" else unrooted_to_json_obj)(value)
+        out.emit([json.dumps(obj, indent=2)], obj)
     return 0
 
 

@@ -262,15 +262,24 @@ def excess_pair(rk: Sequence[Sequence[int]]) -> tuple[int, int]:
     The matrix is one ``prim_order`` rejects: some pair then lies farther
     apart than that path maximum, its subdominant distance.
     """
-    order, parent, edge = prim_order(rk, check=False)
+    pm = path_max(*prim_order(rk, check=False))
     n = len(rk)
-    path_max = [[-1] * n for _ in range(n)]
+    return min((rk[i][j], i, j) for i in range(n) for j in range(i + 1, n) if rk[i][j] > pm[i][j])[1:]
+
+
+def path_max(order: Sequence[int], parent: Sequence[int], edge: Sequence[int]) -> list[list[int]]:
+    """The largest edge weight on the path between every two vertices
+    0..n-1 of a tree, in O(n²), 0 on the diagonal.  Each vertex after the
+    first in ``order`` hangs from an earlier ``parent`` by an edge of weight
+    ``edge[v]`` >= 0 (the minimax recurrence of Gower & Ross 1969)."""
+    n = len(order)
+    pm = [[0] * n for _ in range(n)]
     for k in range(1, n):
         v = order[k]
-        e, pv, pp = edge[v], path_max[v], path_max[parent[v]]
+        e, pv, pp = edge[v], pm[v], pm[parent[v]]
         for w in order[:k]:
-            pv[w] = path_max[w][v] = pp[w] if pp[w] > e else e
-    return min((rk[i][j], i, j) for i in range(n) for j in range(i + 1, n) if rk[i][j] > path_max[i][j])[1:]
+            pv[w] = pm[w][v] = pp[w] if pp[w] > e else e
+    return pm
 
 
 def spectrum(space: Space) -> tuple[Fraction, ...]:

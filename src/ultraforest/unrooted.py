@@ -14,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import ZERO, Space, Verdict
+from .core import ZERO, Space, Verdict, path_max
 from .errors import (
     FormatMismatch,
     MissingLeafChild,
@@ -66,31 +66,24 @@ class UnrootedTree:
             adj[v].append(u)
         self._adj = adj
         # connected + |E| = |V| - 1 together give acyclicity
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != len(self.vertices):
+        if len(_walk(self, self.vertices[0])[0]) != len(self.vertices):
             raise FormatMismatch("tree is not connected")
 
     def __repr__(self) -> str:
         return f"UnrootedTree({len(self.vertices)} vertices)"
 
 
-def _maxima_from(tree: UnrootedTree, source: str) -> dict[str, Fraction]:
-    best = {source: tree.labels[source]}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
+def _walk(tree: UnrootedTree, source: str) -> tuple[list[str], dict[str, str]]:
+    """The breadth-first visit order from ``source`` and each reached
+    vertex's parent; the source is its own parent."""
+    parent = {source: source}
+    order = [source]
+    for v in order:
         for w in tree._adj[v]:
-            if w not in best:
-                best[w] = max(best[v], tree.labels[w])
-                queue.append(w)
-    return best
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return order, parent
 
 
 def path_max_distance(tree: UnrootedTree, u: str, v: str) -> Fraction:
@@ -100,7 +93,12 @@ def path_max_distance(tree: UnrootedTree, u: str, v: str) -> Fraction:
             raise UnknownVertex(x)
     if u == v:
         return ZERO
-    return _maxima_from(tree, u)[v]
+    parent = _walk(tree, u)[1]
+    best = tree.labels[v]
+    while v != u:
+        v = parent[v]
+        best = max(best, tree.labels[v])
+    return best
 
 
 def generates_ultrametric(tree: UnrootedTree) -> Verdict:
@@ -112,22 +110,26 @@ def generates_ultrametric(tree: UnrootedTree) -> Verdict:
 
 
 def space_from_unrooted(tree: UnrootedTree) -> Space:
-    """The ultrametric space on the vertex set under path-maximum distance."""
+    """The ultrametric space on the vertex set under path-maximum distance.
+
+    A path's largest label is its largest edge weight, an edge weighing the
+    larger label of its ends, so one walk and ``core.path_max`` fill the
+    ranks of {0} and the edge weights in O(n²); the space keeps them.
+    """
     check = generates_ultrametric(tree)
     if not check:
         raise NotUltrametricGenerating(check.witness)
     pts = tree.vertices
     index = {p: i for i, p in enumerate(pts)}
-    n = len(pts)
-    matrix = [[ZERO] * n for _ in range(n)]
-    for i, p in enumerate(pts):
-        best = _maxima_from(tree, p)
-        row = matrix[i]
-        for q, val in best.items():
-            j = index[q]
-            if j != i:
-                row[j] = val
-    return Space(pts, matrix)
+    order, parent = _walk(tree, pts[0])
+    weight = [max(tree.labels[p], tree.labels[parent[p]]) if p != pts[0] else ZERO for p in pts]
+    values = sorted(set(weight))
+    rank = {q: r for r, q in enumerate(values)}
+    pm = path_max([index[p] for p in order], [index[parent[p]] for p in pts], [rank[q] for q in weight])
+    space = Space(pts, [tuple(map(values.__getitem__, row)) for row in pm])
+    space._ranks = [tuple(row) for row in pm]
+    space._spectrum = tuple(values)
+    return space
 
 
 def has_leaf_child_everywhere(tree: RootedTree) -> Verdict:

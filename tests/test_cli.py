@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,8 +10,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ultraforest.cli import main
-from ultraforest.formats import TREE_JSON_MAX_HEIGHT, parse_space, space_to_csv, space_to_json
-from ultraforest.gen import random_space
+from ultraforest.errors import MissingLeafChild, NotUltrametricGenerating
+from ultraforest.formats import (
+    TREE_JSON_MAX_HEIGHT,
+    parse_space,
+    space_to_csv,
+    space_to_json,
+    tree_to_json,
+    unrooted_to_json,
+)
+from ultraforest.gen import random_space, random_unrooted
+from ultraforest.tree import build_representing_tree, tree_to_space
+from ultraforest.unrooted import UnrootedTree, space_from_unrooted, unrooted_from_representing
 
 
 @pytest.fixture
@@ -153,7 +165,7 @@ class TestAudit:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("ultraforest.cli.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr("ultraforest.cli.os.cpu_count", lambda: cpus)
         monkeypatch.setenv("ULTRAFOREST_THREADS", "100000")
         code, out, _ = run(capsys, ["audit", "--exhaustive", "--max-n", "4"])
@@ -161,6 +173,15 @@ class TestAudit:
         assert out == "audited 9 spaces (2..4 points): 0 discrepancies\n"
         # one CPU (or an unknown count) runs the sweep without a pool
         assert started == ([expected] if expected > 1 else [])
+
+    def test_import_leaves_multiprocessing_out(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import ultraforest.cli; "
+            "print('multiprocessing' in sys.modules)"
+        )
+        done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n")
 
     def test_bad_thread_setting(self, capsys, monkeypatch):
         monkeypatch.setenv("ULTRAFOREST_THREADS", "many")
@@ -216,7 +237,60 @@ class TestIsometricAndWeaksim:
         assert out == "weakly similar: false\n"
 
 
+# one input per kind: (file name, text, the value the library reads it as);
+# "bad" inputs convert only to their own kind
+def _convert_inputs(kind, good, figure16_tree, perfect_binary4):
+    if kind == "matrix":
+        space = space_from_unrooted(random_unrooted(10, 3)) if good else perfect_binary4
+        return "m.csv", space_to_csv(space), space
+    if kind == "tree":
+        tree = figure16_tree if good else build_representing_tree(perfect_binary4)
+        return "t.json", tree_to_json(tree), tree
+    if good:
+        u = random_unrooted(9, 4)
+    else:
+        u = UnrootedTree(["a", "b", "c"], [("a", "b"), ("b", "c")], {"a": 1, "b": 0, "c": 0})
+    return "u.json", unrooted_to_json(u), u
+
+
+_DIRECT = {
+    ("matrix", "tree"): [build_representing_tree],
+    ("matrix", "unrooted"): [build_representing_tree, unrooted_from_representing],
+    ("tree", "matrix"): [tree_to_space],
+    ("tree", "unrooted"): [unrooted_from_representing],
+    ("unrooted", "matrix"): [space_from_unrooted],
+    ("unrooted", "tree"): [space_from_unrooted, build_representing_tree],
+}
+
+# the bad inputs: a matrix and a tree without a leaf child under the root,
+# and an unrooted tree with two adjacent zero labels
+_UNCONVERTIBLE = {("matrix", "unrooted"), ("tree", "unrooted"), ("unrooted", "matrix"), ("unrooted", "tree")}
+
+_RENDER = {"matrix": space_to_csv, "tree": tree_to_json, "unrooted": unrooted_to_json}
+
+_KINDS = ("matrix", "tree", "unrooted")
+
+
 class TestConvert:
+    @pytest.mark.parametrize("good", [True, False], ids=["good", "bad"])
+    @pytest.mark.parametrize("dst", _KINDS)
+    @pytest.mark.parametrize("src", _KINDS)
+    def test_every_direction_matches_the_library(
+        self, capsys, tmp_path, figure16_tree, perfect_binary4, src, dst, good
+    ):
+        name, text, value = _convert_inputs(src, good, figure16_tree, perfect_binary4)
+        path = tmp_path / name
+        path.write_text(text)
+        try:
+            for step in _DIRECT.get((src, dst), []):
+                value = step(value)
+            expected = (0, _RENDER[dst](value))
+        except (MissingLeafChild, NotUltrametricGenerating) as exc:
+            expected = (1, f"not convertible: {exc}\n")
+        code, out, err = run(capsys, ["convert", str(path), "--to", dst])
+        assert (code, out, err) == (*expected, "")
+        assert code == int(not good and (src, dst) in _UNCONVERTIBLE)
+
     def test_matrix_to_tree_to_matrix(self, capsys, tmp_path, figure16, fig_file):
         code, out, err = run(capsys, ["convert", fig_file, "--to", "tree"])
         assert code == 0

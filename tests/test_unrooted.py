@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ultraforest.canonical import canonical_code
+from ultraforest.core import Space, rank_matrix, spectrum
 from ultraforest.errors import (
     FormatMismatch,
     MissingLeafChild,
@@ -23,6 +24,27 @@ from ultraforest.unrooted import (
 
 from .conftest import FIGURE16_EDGES, FIGURE16_LABELS
 from .oracles import path_max_distance_brute
+
+
+@st.composite
+def generating_trees(draw):
+    """An unrooted tree of 1..14 vertices (a path, a star or a random
+    shape, vertices listed in a drawn order) whose zero labels sit on an
+    independent set."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    shape = draw(st.sampled_from(("path", "star", "random")))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    labels = {}
+    edges = []
+    for i in range(n):
+        q = Fraction(draw(st.sampled_from((0, 0, 1, 2, Fraction(5, 2), 3))))
+        if i:
+            p = i - 1 if shape == "path" else 0 if shape == "star" else draw(st.integers(0, i - 1))
+            edges.append((f"v{p}", f"v{i}"))
+            if q == 0 and labels[f"v{p}"] == 0:
+                q = Fraction(1)
+        labels[f"v{i}"] = q
+    return UnrootedTree(names, edges, labels)
 
 
 def _path3():
@@ -59,7 +81,7 @@ class TestUnrootedTreeValidation:
             UnrootedTree(["a", "b", "c"], [("a", "b")], dict.fromkeys("abc", Fraction(1)))
 
     def test_rejects_cycle(self):
-        with pytest.raises(FormatMismatch):
+        with pytest.raises(FormatMismatch, match="tree is not connected"):
             UnrootedTree(
                 ["a", "b", "c", "d"],
                 [("a", "b"), ("b", "c"), ("c", "a")],
@@ -137,6 +159,20 @@ class TestSpaceFromUnrooted:
         for seed in range(30):
             space = space_from_unrooted(random_unrooted(2 + seed % 9, seed))
             assert validate_space(space.dist, space.points) == space
+
+    @given(generating_trees())
+    def test_one_walk_matches_the_brute_oracle(self, t):
+        space = space_from_unrooted(t)
+        pts = space.points
+        assert pts == t.vertices
+        for u in pts:
+            for v in pts:
+                brute = path_max_distance_brute(pts, t.edges, t.labels, u, v)
+                assert space.distance(u, v) == brute
+                assert path_max_distance(t, u, v) == brute
+        fresh = Space(pts, space.dist)
+        assert space._ranks == rank_matrix(fresh)
+        assert space._spectrum == spectrum(fresh)
 
 
 class TestLeafChildCriterion:
