@@ -644,6 +644,7 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
     # strictly n-ary: four equivalent faces, audited for every plausible n
     delta = extras["max_out_degree"]
     candidates = sorted(bballs, key=lambda b: (len(b), sorted(b)))
+    sub_balleans = [(len(b), len(brute_force_ballean(restrict(space, b)))) for b in bballs]
     for arity in range(2, delta + 2):
         structural = bool(is_strictly_nary(tree, arity))
         graph_side = all(
@@ -657,9 +658,7 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
             if len(b) >= 2
         )
         formula_side = all(
-            (arity - 1) * len(brute_force_ballean(restrict(space, b))) + 1
-            == arity * len(b)
-            for b in bballs
+            (arity - 1) * count + 1 == arity * size for size, count in sub_balleans
         )
         check(
             f"strictly_nary_equivalences[n={arity}]",

@@ -16,10 +16,8 @@ from itertools import combinations
 
 from .classify import CLASS_IDS, membership
 from .core import Space, Verdict, restrict
-from .errors import BudgetExhausted, NotInClass, SingletonSpace, TooLarge, UnknownClass
+from .errors import BudgetExhausted, FormatMismatch, NotInClass, SingletonSpace, UnknownClass
 from .gen import enumerate_spaces
-
-FULL_SUBSET_LIMIT = 8
 
 
 def one_point_deletions(space: Space) -> list[Space]:
@@ -46,14 +44,13 @@ def _first_non_member(
     return None
 
 
-def is_hereditary_instance(space: Space, class_id: str, full: bool = False) -> Verdict:
+def is_hereditary_instance(space: Space, class_id: str) -> Verdict:
     """Does this member space keep its class on every subspace of two or
     more points?
 
-    The default walks the one-point-deletion lattice downward, which is
-    equivalent to checking all subsets; ``full=True`` enumerates the
-    subsets outright as a cross-check (limited to 8 points).  A False
-    verdict carries a minimal violating subset.
+    Walks every proper subset once, smallest first and in ``combinations``
+    order over the point order; a False verdict carries the first such
+    subset that leaves the class, so no smaller subset does.
     """
     if class_id not in CLASS_IDS:
         raise UnknownClass(class_id)
@@ -61,31 +58,9 @@ def is_hereditary_instance(space: Space, class_id: str, full: bool = False) -> V
         raise SingletonSpace("is_hereditary_instance")
     if not membership(class_id, space):
         raise NotInClass(class_id)
-
-    if full:
-        if len(space) > FULL_SUBSET_LIMIT:
-            raise TooLarge("full subset enumeration", len(space), FULL_SUBSET_LIMIT)
-        sub = _first_non_member(class_id, space, space.points, len(space) - 1)
-        if sub is not None:
-            return Verdict(False, witness={"subset": sub, "size": len(sub)})
-        return Verdict(True)
-
-    seen: set[frozenset[str]] = set()
-    stack = [frozenset(space.points)]
-    while stack:
-        current = stack.pop()
-        if len(current) < 3:
-            continue
-        for sub in one_point_deletions(restrict(space, current)):
-            key = frozenset(sub.points)
-            if len(key) < 2 or key in seen:
-                continue
-            seen.add(key)
-            if not membership(class_id, sub):
-                # key itself is a non-member, so a smallest one exists
-                minimal = _first_non_member(class_id, space, sorted(key), len(key))
-                return Verdict(False, witness={"subset": minimal, "size": len(minimal)})
-            stack.append(key)
+    sub = _first_non_member(class_id, space, space.points, len(space) - 1)
+    if sub is not None:
+        return Verdict(False, witness={"subset": sub, "size": len(sub)})
     return Verdict(True)
 
 
@@ -98,13 +73,13 @@ def hereditary_verify(class_id: str, max_n: int = 6) -> Verdict:
     """
     if class_id not in CLASS_IDS:
         raise UnknownClass(class_id)
+    if max_n < 2:
+        raise FormatMismatch("max_n must be at least 2")
     for n in range(3, max_n + 1):
         for space in enumerate_spaces(n):
             if not membership(class_id, space):
                 continue
-            pts = set(space.points)
-            for x in space.points:
-                sub = restrict(space, pts - {x})
+            for x, sub in zip(space.points, one_point_deletions(space)):
                 if not membership(class_id, sub):
                     return Verdict(
                         False,
@@ -123,6 +98,8 @@ def hereditary_counterexample_search(
     """
     if class_id not in CLASS_IDS:
         raise UnknownClass(class_id)
+    if max_n < 2:
+        raise FormatMismatch("max_n must be at least 2")
     spent = 0
 
     def charge():

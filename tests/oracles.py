@@ -315,3 +315,24 @@ def bucket_merge_tree(space: Space) -> RootedTree:
             children.append(tuple(kids))
             points.append(None)
     return RootedTree(labels, children, points, root=len(labels) - 1)
+
+
+def hereditary_by_deletion_lattice(space: Space, member) -> bool:
+    """Whether every subspace of at least two points satisfies ``member``
+    (a predicate on spaces), by walking the one-point-deletion lattice
+    down from the whole space and testing each subset once."""
+    seen: set[frozenset[str]] = set()
+    stack = [frozenset(space.points)]
+    while stack:
+        current = stack.pop()
+        if len(current) < 3:
+            continue
+        for x in current:
+            key = current - {x}
+            if key in seen:
+                continue
+            seen.add(key)
+            if not member(restrict(space, key)):
+                return False
+            stack.append(key)
+    return True

@@ -561,6 +561,23 @@ class TestHereditary:
             main(["hereditary", "verify", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("action", ["verify", "counterexample"])
+    @pytest.mark.parametrize("max_n", ["1", "-3"])
+    def test_max_n_below_two_is_an_input_error(self, capsys, action, max_n):
+        code, out, err = run(
+            capsys,
+            ["hereditary", action, "labels_same_level", "--max-n", max_n, "--format", "json"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: max_n must be at least 2\n"
+
+    @pytest.mark.parametrize("action", ["verify", "counterexample"])
+    def test_max_n_two_is_accepted(self, capsys, action):
+        code, out, err = run(capsys, ["hereditary", action, "rigid", "--max-n", "2"])
+        assert code == 0
+        assert err == ""
+
 
 class TestGenerate:
     def test_deterministic_line(self, capsys):

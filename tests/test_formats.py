@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ultraforest.canonical import canonical_code
 from ultraforest.core import spectrum
@@ -24,6 +25,7 @@ from ultraforest.formats import (
 )
 from ultraforest.gen import enumerate_spaces, random_space, random_unrooted
 from ultraforest.tree import build_representing_tree
+from ultraforest.unrooted import space_from_unrooted
 
 from .conftest import space_from_rows
 
@@ -264,3 +266,37 @@ class TestCrossFormatAgreement:
             assert space_from_csv(space_to_csv(space)) == space_from_json(
                 space_to_json(space)
             )
+
+
+def _tree_walk(tree):
+    return [(tree.labels[v], tree.points[v], len(tree.children[v])) for v in tree.preorder()]
+
+
+class TestRoundTripProperty:
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32),
+        from_unrooted=st.booleans(),
+    )
+    def test_every_format_round_trips(self, n, seed, from_unrooted):
+        unrooted = random_unrooted(n, seed) if from_unrooted else None
+        space = space_from_unrooted(unrooted) if from_unrooted else random_space(n, seed)
+
+        for write, read in ((space_to_csv, space_from_csv), (space_to_json, space_from_json)):
+            text = write(space)
+            again = read(text)
+            assert again == space
+            assert write(again) == text
+
+        tree = build_representing_tree(space)
+        text = tree_to_json(tree)
+        again = tree_from_json(text)
+        assert _tree_walk(again) == _tree_walk(tree)
+        assert tree_to_json(again) == text
+
+        if unrooted is not None:
+            text = unrooted_to_json(unrooted)
+            again = unrooted_from_json(text)
+            assert again.edges == unrooted.edges
+            assert again.labels == unrooted.labels
+            assert unrooted_to_json(again) == text

@@ -1,3 +1,6 @@
+from functools import partial
+from itertools import combinations
+
 import pytest
 
 from ultraforest.classify import CLASS_IDS, membership
@@ -6,12 +9,10 @@ from ultraforest.errors import (
     BudgetExhausted,
     NotInClass,
     SingletonSpace,
-    TooLarge,
     UnknownClass,
 )
 from ultraforest.gen import enumerate_spaces
 from ultraforest.hereditary import (
-    FULL_SUBSET_LIMIT,
     hereditary_counterexample_search,
     hereditary_verify,
     is_hereditary_instance,
@@ -19,6 +20,7 @@ from ultraforest.hereditary import (
 )
 
 from .conftest import space_from_rows
+from .oracles import hereditary_by_deletion_lattice
 
 HEREDITARY_CLASSES = (
     "gomory_hu_extremal",
@@ -79,7 +81,6 @@ class TestOnePointDeletions:
 class TestIsHereditaryInstance:
     def test_member_of_hereditary_class(self, isosceles):
         assert is_hereditary_instance(isosceles, "strictly_binary")
-        assert is_hereditary_instance(isosceles, "strictly_binary", full=True)
 
     def test_non_member_rejected(self, equilateral):
         with pytest.raises(NotInClass) as exc:
@@ -111,22 +112,38 @@ class TestIsHereditaryInstance:
         assert not is_hereditary_instance(perfect_binary4, "leaves_same_level")
         assert is_hereditary_instance(perfect_binary4, "strictly_binary")
 
-    def test_full_flag_agrees_with_deletion_walk(self):
-        for n in range(2, 6):
+    def test_agrees_with_the_deletion_lattice_on_every_small_member(self):
+        pairs = 0
+        for n in range(2, 7):
             for space in enumerate_spaces(n):
-                for cid in ("strictly_binary", "labels_same_level", "homogeneous"):
+                for cid in CLASS_IDS:
                     if not membership(cid, space):
                         continue
-                    walk = is_hereditary_instance(space, cid)
-                    full = is_hereditary_instance(space, cid, full=True)
-                    assert bool(walk) == bool(full)
-                    if not walk:
-                        assert walk.witness["size"] <= full.witness["size"]
+                    pairs += 1
+                    verdict = is_hereditary_instance(space, cid)
+                    member = partial(membership, cid)
+                    assert bool(verdict) == hereditary_by_deletion_lattice(space, member)
+                    if verdict:
+                        continue
+                    witness = verdict.witness["subset"]
+                    assert verdict.witness["size"] == len(witness)
+                    assert not member(restrict(space, witness))
+                    # every subset before it, smaller or earlier in
+                    # combinations order, keeps the class
+                    for size in range(2, len(witness) + 1):
+                        for subset in combinations(space.points, size):
+                            if frozenset(subset) == witness:
+                                break
+                            assert member(restrict(space, subset))
+        assert pairs == 453
 
-    def test_full_flag_size_cutoff(self, figure16):
-        assert len(figure16) > FULL_SUBSET_LIMIT
-        with pytest.raises(TooLarge):
-            is_hereditary_instance(figure16, "unrooted_generated", full=True)
+    def test_large_space_gives_first_smallest_witness(self, figure16):
+        verdict = is_hereditary_instance(figure16, "unrooted_generated")
+        assert not verdict
+        assert verdict.witness == {
+            "subset": frozenset({"x3", "x4", "x5", "x6"}),
+            "size": 4,
+        }
 
 
 class TestHereditaryVerify:
