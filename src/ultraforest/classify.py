@@ -15,9 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from math import comb
+from operator import mul
 
-from .canonical import are_isometric, canonical_code, codes_from_tokens, count_self_isometries
+from .canonical import are_isometric, canonical_code, codes_from_tokens, count_self_isometries, node_codes
 from .core import Space, Verdict, diameter, point_spectrum, rank_matrix, restrict, spectrum
 from .errors import (
     FormatMismatch,
@@ -376,14 +378,39 @@ def homogeneous_oracle(space: Space) -> bool:
 def shape_spectrum_guarantee(tree: RootedTree) -> Verdict:
     """Shape condition under which every labeling is determined by its
     spectrum: one internal node per level except the last internal level,
-    which may hold at most two with equal out-degrees."""
+    which may hold at most two with equal out-degrees.
+
+    Proof that it suffices, with h the height: levels 0..h-2 hold one
+    internal node each, a chain from the root, and the nodes on level h-1
+    have leaf children only.  A labeling onto all m positive values is
+    forced down the chain, and the at most two tail nodes take the lowest
+    one or two values; when they take two, the automorphism swapping them
+    (equal out-degree, leaf children only) identifies the two orders.
+    """
     return _chain_with_tail(tree, 2)
 
 
-def shape_spectrum_injective_criterion(tree: RootedTree) -> Verdict:
-    """Exact test when internal labels are injective: two internal nodes may
-    share a level only at the last internal level, with equal out-degrees."""
-    return has_inner_chain_equal_tail(tree)
+def shape_spectrum_labelings(space: Space) -> int:
+    """How many pairwise non-isometric spaces share this space's tree shape
+    and spectrum: the isomorphism classes of strictly decreasing labelings
+    of the shape onto all m positive spectrum values.  ``below[s][t]``
+    counts the labelings of subtree shape s with root label below t (a leaf
+    has 1); a node whose children take shape g k_g times has
+    prod_g C(below[g][r] + k_g - 1, k_g) with root label r.  Inclusion and
+    exclusion over the values left out gives the count onto all m."""
+    tree = build_representing_tree(space)
+    m = len(spectrum(space)) - 1
+    shapes = node_codes(tree, "unlabeled")
+    below = dict.fromkeys({shapes[v] for v in tree.leaves()}, [1] * (m + 2))
+    for v in reversed(tree.internal_nodes()):
+        if shapes[v] not in below:
+            exactly = [1] * m  # labelings with root label r = 1..m
+            for g, k in Counter(shapes[c] for c in tree.children[v]).items():
+                b = below[g][1:m + 1]
+                exactly = list(map(mul, exactly, b if k == 1 else [comb(x + k - 1, k) for x in b]))
+            below[shapes[v]] = [0, *accumulate(exactly, initial=0)]
+    root = below[shapes[tree.root]]
+    return sum((-1) ** (m - j) * comb(m, j) * root[j + 1] for j in range(m + 1))
 
 
 def shape_spectrum_oracle(space: Space) -> bool:
@@ -425,22 +452,12 @@ def shape_spectrum_oracle(space: Space) -> bool:
 
 
 def is_shape_spectrum_determined(space: Space) -> Verdict:
-    """Best available decision, most authoritative basis first.
-
-    The witness records the basis: "oracle" and "injective_labels" are
-    exact; "shape_guarantee" is a sufficient condition only, so a False
-    with that basis means undecided-by-fast-criteria (its ``exact`` flag
-    is False).
-    """
+    """Is the space the only one, up to isometry, with its tree shape and
+    spectrum?  The certificate is the labelings count, capped at 2 for
+    "two or more"; the shape guarantee alone skips the count."""
     tree = build_representing_tree(space)
-    if len(tree.internal_nodes()) <= SHAPE_SPECTRUM_ORACLE_LIMIT:
-        res = shape_spectrum_oracle(space)
-        return Verdict(res, witness={"basis": "oracle", "exact": True})
-    if has_injective_internal_labels(tree):
-        res = shape_spectrum_injective_criterion(tree)
-        return Verdict(bool(res), witness={"basis": "injective_labels", "exact": True, "detail": res.witness})
-    res = shape_spectrum_guarantee(tree)
-    return Verdict(bool(res), witness={"basis": "shape_guarantee", "exact": bool(res), "detail": res.witness})
+    k = 1 if shape_spectrum_guarantee(tree) else shape_spectrum_labelings(space)
+    return Verdict(k == 1, witness={"labelings": min(k, 2)})
 
 
 # -------------------------------------------------------------- catalog
@@ -473,19 +490,10 @@ CLASS_IDS = tuple(_CLASSES)
 
 
 def membership(class_id: str, space: Space) -> bool:
-    """Exact class membership; raises TooLarge where only an oversized
-    oracle could decide."""
+    """Exact class membership."""
     if class_id not in CLASS_IDS:
         raise UnknownClass(class_id)
-    tree = build_representing_tree(space)
-    verdict = _CLASSES[class_id](space, tree)
-    if not verdict and isinstance(verdict.witness, dict) and verdict.witness.get("exact") is False:
-        raise TooLarge(
-            "shape-spectrum membership",
-            len(tree.internal_nodes()),
-            SHAPE_SPECTRUM_ORACLE_LIMIT,
-        )
-    return bool(verdict)
+    return bool(_CLASSES[class_id](space, build_representing_tree(space)))
 
 
 @dataclass(frozen=True)
@@ -820,18 +828,15 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
         strictly_nary_injective=(nary.witness["arity"] == delta and injective.ok),
     )
 
-    # shape + spectrum rigidity cross-checks, where the oracle decided
-    if shape.witness["basis"] == "oracle":
-        if injective:
-            check(
-                "shape_spectrum_injective_criterion",
-                criterion=chain_tail.ok,
-                oracle=shape.ok,
-            )
-        imply(
-            "shape_spectrum_guarantee_sound",
-            bool(shape_spectrum_guarantee(tree)),
-            shape.ok,
-        )
+    # shape + spectrum rigidity: the count against the verdict, the
+    # exhaustive oracle where it runs, and both shape criteria
+    determined = shape_spectrum_labelings(space) == 1
+    legs = {"verdict": shape.ok, "labelings": determined}
+    if len(tree.internal_nodes()) <= SHAPE_SPECTRUM_ORACLE_LIMIT:
+        legs["oracle"] = shape_spectrum_oracle(space)
+    check("shape_spectrum_count", **legs)
+    if injective:
+        check("shape_spectrum_injective_criterion", criterion=chain_tail.ok, labelings=determined)
+    imply("shape_spectrum_guarantee_sound", bool(shape_spectrum_guarantee(tree)), determined)
 
     return out

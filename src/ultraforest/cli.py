@@ -172,6 +172,8 @@ def _audit_one(space: Space):
 
 def _cmd_audit(args, out: _Output) -> int:
     if args.exhaustive:
+        if args.max_n < 2:
+            raise ParseError("max_n must be at least 2")
         spaces = []
         for n in range(2, args.max_n + 1):
             spaces.extend(enumerate_spaces(n))
@@ -273,6 +275,8 @@ def _cmd_convert(args, out: _Output) -> int:
 
 def _cmd_hereditary(args, out: _Output) -> int:
     if args.action == "verify":
+        if args.budget is not None:
+            raise ParseError("--budget applies to counterexample only")
         verdict = hereditary_verify(args.class_id, args.max_n)
         if verdict:
             out.emit(

@@ -151,8 +151,8 @@ def validate_space(matrix: Sequence[Sequence], points: Sequence[str]) -> Space:
     if prim_order(rk) is None:
         # Only a matrix that is not ultrametric gets here, so some triple
         # violates the strong triangle inequality: name the first in scan order.
-        # The scan reads the values; running it on the ranks is an open
-        # step of ROADMAP item 2, for rejected input only.
+        # The scan reads the values; running it on the ranks is open under
+        # ROADMAP item 13, for rejected input only.
         for i in range(n):
             for j in range(i + 1, n):
                 dij = d[i][j]

@@ -336,3 +336,32 @@ def hereditary_by_deletion_lattice(space: Space, member) -> bool:
                 return False
             stack.append(key)
     return True
+
+
+def shape_spectrum_labelings_brute(space: Space) -> int:
+    """Distinct labeled trees among all strictly decreasing labelings of the
+    space's tree shape onto every positive spectrum value, by enumeration."""
+    tree = bucket_merge_tree(space)
+    m = len({v for row in space.dist for v in row}) - 1
+    order = [v for v in tree.preorder() if tree.children[v]]  # parents first
+    parent = {c: v for v in order for c in tree.children[v]}
+    label: dict[int, int] = {}
+    codes: set[str] = set()
+
+    def code(v: int) -> str:
+        if not tree.children[v]:
+            return "0"
+        return f"{label[v]}({','.join(sorted(code(c) for c in tree.children[v]))})"
+
+    def assign(i: int) -> None:
+        if i == len(order):
+            if len(set(label.values())) == m:
+                codes.add(code(tree.root))
+            return
+        v = order[i]
+        for r in range(1, m + 1 if v == tree.root else label[parent[v]]):
+            label[v] = r
+            assign(i + 1)
+
+    assign(0)
+    return len(codes)

@@ -18,8 +18,8 @@ from ultraforest.classify import (
     audit_equivalences,
     classify,
     has_injective_internal_labels,
+    has_inner_chain_equal_tail,
     shape_spectrum_guarantee,
-    shape_spectrum_injective_criterion,
     shape_spectrum_oracle,
 )
 from ultraforest.cli import main
@@ -255,7 +255,7 @@ def test_criterion_6_shape_spectrum_base_cases():
                 assert shape_spectrum_oracle(space), space.points
                 guaranteed += 1
             if has_injective_internal_labels(tree):
-                assert bool(shape_spectrum_injective_criterion(tree)) == bool(
+                assert bool(has_inner_chain_equal_tail(tree)) == bool(
                     shape_spectrum_oracle(space)
                 ), space.points
     print(

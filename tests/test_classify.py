@@ -35,7 +35,7 @@ from ultraforest.classify import (
     point_spectra_are_suffixes,
     point_spectra_sizes_equal,
     shape_spectrum_guarantee,
-    shape_spectrum_injective_criterion,
+    shape_spectrum_labelings,
     shape_spectrum_oracle,
     strict_arity,
 )
@@ -51,7 +51,7 @@ from ultraforest.gen import enumerate_spaces, random_space
 from ultraforest.tree import RootedTree, build_representing_tree, tree_to_space
 
 from .conftest import build_uniform_tree, space_from_rows
-from .oracles import all_balls
+from .oracles import all_balls, shape_spectrum_labelings_brute
 
 
 def _tree(space):
@@ -272,8 +272,9 @@ class TestShapeSpectrum:
     def test_balanced_tails_are_determined(self):
         space = _two_tails_space((3, 3), (2, 1))
         assert shape_spectrum_oracle(space)
+        assert shape_spectrum_labelings(space) == 1
         verdict = is_shape_spectrum_determined(space)
-        assert verdict and verdict.witness == {"basis": "oracle", "exact": True}
+        assert verdict and verdict.witness == {"labelings": 1}
 
     def test_unbalanced_tails_are_not(self):
         space = _two_tails_space((3, 2), (2, 1))
@@ -283,9 +284,9 @@ class TestShapeSpectrum:
     def test_guarantee_and_criterion_on_examples(self, perfect_binary4, isosceles):
         assert shape_spectrum_guarantee(_tree(perfect_binary4))
         assert shape_spectrum_guarantee(_tree(isosceles))
-        assert shape_spectrum_injective_criterion(_tree(perfect_binary4))
+        assert has_inner_chain_equal_tail(_tree(perfect_binary4))
         space = _two_tails_space((3, 2), (2, 1))
-        assert not shape_spectrum_injective_criterion(_tree(space))
+        assert not has_inner_chain_equal_tail(_tree(space))
 
     def test_three_tails_fail_the_guarantee(self):
         space = _two_tails_space((2, 2, 2), (2, 2, 2), root_label=3)
@@ -300,18 +301,24 @@ class TestShapeSpectrum:
         with pytest.raises(TooLarge):
             shape_spectrum_oracle(space)  # 7 internal nodes
 
-    def test_fallback_bases_beyond_cutoff(self):
+    def test_decided_beyond_the_oracle_cutoff(self):
         chain = _chain_space([8, 7, 6, 5, 4, 3, 2, 1])
         verdict = is_shape_spectrum_determined(chain)
-        assert verdict and verdict.witness["basis"] == "injective_labels"
+        assert verdict and verdict.witness == {"labelings": 1}
+        # 15 internal nodes, with 2, 4 and 8 on levels 1..3: the shape
+        # guarantee fails, yet the level-wise labels are the only labeling
         pb16 = tree_to_space(build_uniform_tree((2, 2, 2, 2), (4, 3, 2, 1)))
+        assert not shape_spectrum_guarantee(_tree(pb16))
+        assert shape_spectrum_labelings(pb16) == 1
         verdict = is_shape_spectrum_determined(pb16)
-        assert not verdict
-        assert verdict.witness == {
-            "basis": "shape_guarantee",
-            "exact": False,
-            "detail": {"level": 1, "internal_nodes": 2},
-        }
+        assert verdict and verdict.witness == {"labelings": 1}
+
+    def test_two_or_more_labelings_cap_the_certificate(self):
+        space = random_space(14, 2)
+        assert shape_spectrum_labelings(space) == 1000
+        verdict = is_shape_spectrum_determined(space)
+        assert not verdict and verdict.witness == {"labelings": 2}
+        assert classify(space).classes["shape_spectrum_determined"].certificate == {"labelings": 2}
 
     def test_criterion_matches_oracle_on_injective_enumerated(self):
         for n in range(2, 7):
@@ -319,9 +326,43 @@ class TestShapeSpectrum:
                 tree = _tree(space)
                 if not has_injective_internal_labels(tree):
                     continue
-                assert bool(shape_spectrum_injective_criterion(tree)) == (
+                assert bool(has_inner_chain_equal_tail(tree)) == (
                     shape_spectrum_oracle(space)
                 )
+
+    def test_count_matches_brute_force(self):
+        """The recurrence against enumerating every labeling, on every class
+        with at most 6 internal nodes and at most 7 points."""
+        checked = 0
+        for n in range(1, 8):
+            for space in enumerate_spaces(n):
+                if len(_tree(space).internal_nodes()) <= 6:
+                    assert shape_spectrum_labelings(space) == shape_spectrum_labelings_brute(space)
+                    checked += 1
+        assert checked == 588
+
+    def test_count_decides_as_the_oracle(self):
+        checked = determined = 0
+        for n in range(2, 9):
+            for space in enumerate_spaces(n):
+                if len(_tree(space).internal_nodes()) <= 6:
+                    one = shape_spectrum_labelings(space) == 1
+                    assert one == shape_spectrum_oracle(space)
+                    checked += 1
+                    determined += one
+        assert (checked, determined) == (2538, 277)
+
+    def test_shape_criteria_against_the_count(self):
+        """The guarantee implies a count of 1; on injective labels the
+        equal-tail chain holds exactly when the count is 1."""
+        for n in range(2, 9):
+            for space in enumerate_spaces(n):
+                tree = _tree(space)
+                one = shape_spectrum_labelings(space) == 1
+                if shape_spectrum_guarantee(tree):
+                    assert one
+                if has_injective_internal_labels(tree):
+                    assert bool(has_inner_chain_equal_tail(tree)) == one
 
 
 class TestMembershipAndClassify:
@@ -361,12 +402,12 @@ class TestMembershipAndClassify:
         for cid in CLASS_IDS:
             assert membership(cid, isosceles) == (cid in expected_true), cid
 
-    def test_membership_too_large_only_when_undecidable(self):
+    def test_membership_decides_beyond_the_oracle_cutoff(self):
         pb16 = tree_to_space(build_uniform_tree((2, 2, 2, 2), (4, 3, 2, 1)))
-        with pytest.raises(TooLarge):
-            membership("shape_spectrum_determined", pb16)
+        assert membership("shape_spectrum_determined", pb16)
         chain = _chain_space([8, 7, 6, 5, 4, 3, 2, 1])
         assert membership("shape_spectrum_determined", chain)
+        assert not membership("shape_spectrum_determined", random_space(14, 2))
 
     def test_classify_report(self, figure16):
         report = classify(figure16)

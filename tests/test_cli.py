@@ -193,6 +193,11 @@ class TestAudit:
         code, out, err = run(capsys, ["audit"])
         assert code == 2
 
+    @pytest.mark.parametrize("max_n", ["1", "-2"])
+    def test_max_n_below_two_is_an_input_error(self, capsys, max_n):
+        code, out, err = run(capsys, ["audit", "--exhaustive", "--max-n", max_n])
+        assert (code, out, err) == (2, "", "error: max_n must be at least 2\n")
+
 
 class TestIsometricAndWeaksim:
     def test_isometric_pair(self, capsys, tmp_path, isosceles):
@@ -555,6 +560,13 @@ class TestHereditary:
         )
         assert code == 2
         assert "budget" in err
+
+    def test_verify_rejects_budget(self, capsys):
+        code, out, err = run(
+            capsys, ["hereditary", "verify", "rigid", "--max-n", "5", "--budget", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unknown_class_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
