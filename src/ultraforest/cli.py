@@ -57,10 +57,13 @@ def _threads(work: int) -> int:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc.reason} at byte {exc.start}") from exc
 
 
 def _sniff_kind(obj) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 
 from .core import Space, validate_space
@@ -18,34 +19,52 @@ from .tree import RootedTree, height
 from .unrooted import UnrootedTree
 
 
+# CPython's default int <-> str limit: values with more digits above or
+# below the fraction bar are refused, so every accepted value prints.
+MAX_DIGITS = 4300
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+
+
 def parse_rational(token) -> Fraction:
-    """Exact rational from a string like "3/4", "2", or "0.25", or an int."""
-    if isinstance(token, bool):
-        raise ParseError(f"not a rational value: {token!r}")
-    if isinstance(token, int):
-        return Fraction(token)
+    """Exact rational from a string like "3/4", "2", "0.25" or "1e-3", or an
+    int, with at most MAX_DIGITS digits (or a lower interpreter limit)."""
     if isinstance(token, float):
-        raise ParseError(
-            f"refusing inexact float {token!r}; write it as a string, e.g. \"1/4\""
-        )
-    if isinstance(token, str):
-        try:
-            return Fraction(token.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational value: {token!r}") from exc
-    raise ParseError(f"not a rational value: {token!r}")
+        raise ParseError(f'refusing inexact float {token!r}; write it as a string, e.g. "1/4"')
+    if isinstance(token, bool) or not isinstance(token, (int, str)):
+        raise ParseError(f"not a rational value: {token!r}")
+    try:
+        if isinstance(token, int):
+            value = Fraction(token)
+        else:
+            text = token.strip()
+            exp = _EXPONENT.search(text)
+            # Fraction computes 10**exponent: past MAX_DIGITS + len(text) a
+            # nonzero value has too many digits either way, so clamp it there
+            if exp and int(exp[1]) > MAX_DIGITS + len(text):
+                text = text[: exp.start(1)] + str(MAX_DIGITS + len(text) + 1)
+            value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not a rational value: {token!r}") from exc
+    try:  # str() also refuses a value past a lower interpreter limit
+        if max(len(str(abs(value.numerator))), len(str(value.denominator))) <= MAX_DIGITS:
+            return value
+    except ValueError:
+        pass
+    raise ParseError("rational value with too many digits above or below the fraction bar")
 
 
 def _token_parser():
-    """``parse_rational`` that parses each distinct string token once.
+    """``parse_rational`` that parses each distinct string or JSON integer
+    token once.
 
     Equal values spelled differently ("1/2", "0.5") are still equal
     Fractions; any other token type goes straight to ``parse_rational``.
     """
-    cache: dict[str, Fraction] = {}
+    cache: dict[str | int, Fraction] = {}
 
     def parse(token) -> Fraction:
-        if type(token) is not str:
+        if type(token) is not str and type(token) is not int:
             return parse_rational(token)
         value = cache.get(token)
         if value is None:
@@ -60,11 +79,13 @@ def format_rational(value: Fraction) -> str:
 
 
 def load_json(text: str):
-    """Decode JSON text; malformed or too deeply nested input is a ParseError."""
+    """Decode JSON text; malformed, too deep or too long input is a ParseError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError("invalid JSON: an integer has too many digits") from exc
     except RecursionError as exc:
         raise ParseError("JSON nested too deeply to read") from exc
 

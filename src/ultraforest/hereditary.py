@@ -93,13 +93,15 @@ def hereditary_counterexample_search(
 ) -> tuple[Space, frozenset] | None:
     """Search for a member space with a non-member subspace, smallest
     space first, then smallest subset.  Returns None when the class is
-    hereditary on this range.  ``budget`` caps the number of membership
-    evaluations; exceeding it raises BudgetExhausted.
+    hereditary on this range.  ``budget`` (at least 0) caps the number of
+    membership evaluations; exceeding it raises BudgetExhausted.
     """
     if class_id not in CLASS_IDS:
         raise UnknownClass(class_id)
     if max_n < 2:
         raise FormatMismatch("max_n must be at least 2")
+    if budget is not None and budget < 0:
+        raise FormatMismatch("budget must be at least 0")
     spent = 0
 
     def charge():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .core import ZERO, Space, excess_pair, prim_order, rank_matrix
@@ -37,9 +38,9 @@ class RootedTree:
     Node ``v`` has label ``labels[v]``, ordered children ``children[v]`` and,
     when it is a leaf, the point id ``points[v]``.  Construction validates the
     shape (internal out-degree >= 2, leaf labels 0, labels strictly decreasing
-    away from the root, pairwise distinct leaf points) and normalizes each
-    child tuple into canonical order, so equal trees print and traverse
-    identically no matter how they were assembled.
+    away from the root, pairwise distinct leaf points), orders each child
+    tuple canonically and numbers the nodes in that canonical preorder, root
+    0, so ids, traversals and output depend on the labeled tree alone.
     """
 
     __slots__ = (
@@ -47,7 +48,6 @@ class RootedTree:
         "children",
         "points",
         "root",
-        "_preorder",
         "_parent",
         "_level",
         "_leaf_sets",
@@ -66,10 +66,8 @@ class RootedTree:
             raise InvalidTree("labels, children and points must be parallel nonempty arrays")
         if not 0 <= root < n:
             raise UnknownNode(root)
-        self.labels = tuple(l if type(l) is Fraction else Fraction(l) for l in labels)
+        labels = [l if type(l) is Fraction else Fraction(l) for l in labels]
         kids = [tuple(ch) for ch in children]
-        self.points = tuple(points)
-        self.root = root
 
         seen = [False] * n
         order: list[int] = []  # preorder in input child order
@@ -94,9 +92,9 @@ class RootedTree:
         for v in reversed(order):
             ch = kids[v]
             if not ch:
-                if self.labels[v] != 0:
-                    raise InvalidTree(f"leaf {v} must carry label 0, got {self.labels[v]}")
-                p = self.points[v]
+                if labels[v] != 0:
+                    raise InvalidTree(f"leaf {v} must carry label 0, got {labels[v]}")
+                p = points[v]
                 if p is None:
                     raise InvalidTree(f"leaf {v} carries no point id")
                 if p in pointset:
@@ -107,30 +105,40 @@ class RootedTree:
             else:
                 if len(ch) < 2:
                     raise InvalidTree(f"internal node {v} has out-degree {len(ch)}")
-                if self.points[v] is not None:
+                if points[v] is not None:
                     raise InvalidTree(f"internal node {v} must not carry a point id")
-                if self.labels[v] <= 0:
-                    raise InvalidTree(f"internal node {v} needs a positive label")
-                for c in ch:
-                    if self.labels[v] <= self.labels[c]:
-                        raise LabelMonotonicityViolation(self.labels[v], self.labels[c])
                 ordered = sorted(ch, key=lambda c: (code[c], minleaf[c]))
                 kids[v] = tuple(ordered)
-                code[v] = str(self.labels[v]) + "(" + ",".join(code[c] for c in ordered) + ")"
+                code[v] = str(labels[v]) + "(" + ",".join(code[c] for c in ordered) + ")"
                 minleaf[v] = min(minleaf[c] for c in ch)
 
-        self.children = tuple(kids)
-        order = []  # the same walk over the canonical child order
+        # node i is order[i], the i-th node of the canonical preorder
+        new = [0] * n  # input id -> canonical id
+        order = []
         stack = [root]
         while stack:
             v = stack.pop()
+            new[v] = len(order)
             order.append(v)
             stack.extend(reversed(kids[v]))
-        self._preorder = tuple(order)
+        self.labels = lab = tuple([labels[v] for v in order])
+        self.points = tuple([points[v] for v in order])
+        self.root = 0
+        remapped: list[tuple[int, ...]] = [()] * n
+        for i in range(n - 1, -1, -1):
+            ch = kids[order[i]]
+            if ch:
+                ch = remapped[i] = tuple([new[c] for c in ch])
+                if lab[i] <= 0:
+                    raise InvalidTree(f"internal node {i} needs a positive label")
+                for c in ch:
+                    if lab[i] <= lab[c]:
+                        raise LabelMonotonicityViolation(lab[i], lab[c])
+        self.children = tuple(remapped)
         self._parent = None
         self._level = None
         self._leaf_sets = None
-        self._code_cache = {"labeled": tuple(code)}  # mode -> per-node codes
+        self._code_cache = {"labeled": tuple([code[v] for v in order])}  # mode -> per-node codes
 
     # ------------------------------------------------------------ queries
 
@@ -144,19 +152,18 @@ class RootedTree:
     def out_degree(self, v: int) -> int:
         return len(self.children[v])
 
-    def preorder(self) -> tuple[int, ...]:
-        """Every node, parents before children, children in canonical order.
-
-        Computed once, at construction; ``reversed(tree.preorder())`` lists
-        every child before its parent.
+    def preorder(self) -> range:
+        """Every node, parents before children, children in canonical order:
+        ``range(n_nodes)``, since node ids are canonical preorder positions.
+        ``reversed(tree.preorder())`` lists every child before its parent.
         """
-        return self._preorder
+        return range(len(self.labels))
 
     def _structure(self):
         if self._parent is None:
             parent = [-1] * self.n_nodes
             level = [0] * self.n_nodes
-            for v in self._preorder:
+            for v in range(self.n_nodes):
                 for c in self.children[v]:
                     parent[c] = v
                     level[c] = level[v] + 1
@@ -173,7 +180,7 @@ class RootedTree:
     def leaf_set(self, v: int) -> frozenset[str]:
         if self._leaf_sets is None:
             sets: list[frozenset[str] | None] = [None] * self.n_nodes
-            for u in reversed(self._preorder):
+            for u in range(self.n_nodes - 1, -1, -1):
                 if self.is_leaf(u):
                     sets[u] = frozenset((self.points[u],))
                 else:
@@ -190,10 +197,10 @@ class RootedTree:
         return [self.leaf_set(c) for c in self.children[v]]
 
     def leaves(self) -> list[int]:
-        return [v for v in self._preorder if not self.children[v]]
+        return [v for v, ch in enumerate(self.children) if not ch]
 
     def internal_nodes(self) -> list[int]:
-        return [v for v in self._preorder if self.children[v]]
+        return [v for v, ch in enumerate(self.children) if ch]
 
     def leaf_points(self) -> list[str]:
         return [self.points[v] for v in self.leaves()]
@@ -213,18 +220,19 @@ def build_representing_tree(space: Space) -> RootedTree:
     point outside a ball is farther from it than the ball's diameter, so
     d(vi, vj) = max(e(i+1)..ej), and the tree is the Cartesian tree of the
     edge ranks: a monotone stack builds it, equal neighbouring ranks under
-    one node.  Leaves are numbered 0..n-1 in point order, internal nodes
-    by (label, lowest point index) after them, and each label is a matrix
-    entry.  Only the upper triangle counts; if it is not ultrametric,
-    NotUltrametric names the first pair in (distance, i, j) order whose
-    distance exceeds the largest spanning-tree edge between its points.
+    one node, and each label is a matrix entry.  ``RootedTree`` numbers
+    the nodes in canonical preorder, so no id depends on the Prim order or
+    the point order.  Only the upper triangle counts; if it is not
+    ultrametric, NotUltrametric names the first pair in (distance, i, j)
+    order whose distance exceeds the largest spanning-tree edge between
+    its points.
     """
     if space._tree is not None:
         return space._tree
     pts = space.points
     n = len(pts)
     labels: list[Fraction] = [ZERO] * n
-    children: list[tuple[int, ...]] = [()] * n
+    children: list[list[int]] = [[] for _ in range(n)]
     points: list[str | None] = list(pts)
     rk = rank_matrix(space)
     if any(rk[i][i] for i in range(n)):
@@ -237,54 +245,31 @@ def build_representing_tree(space: Space) -> RootedTree:
         raise NotUltrametric(pts[i], pts[j])
     order, parent, edge = prim
 
-    # internal node t (t >= n) has rank[t - n], label[t - n] and kids[t - n];
-    # low[t] is the lowest point index under any node t
+    # internal node n + k is the k-th the stack creates and has rank[k]
     rank: list[int] = []
-    label: list[Fraction] = []
-    kids: list[list[int]] = []
-    low = list(range(n))
     stack: list[int] = []  # open internal nodes, ranks falling toward the top
-
-    def adopt(t: int, c: int) -> None:
-        kids[t - n].append(c)
-        if low[c] < low[t]:
-            low[t] = low[c]
-
     cur = order[0]
     for v in order[1:]:
         e = edge[v]
         while stack and rank[stack[-1] - n] < e:
             t = stack.pop()
-            adopt(t, cur)
+            children[t].append(cur)
             cur = t
         if stack and rank[stack[-1] - n] == e:
-            adopt(stack[-1], cur)
+            children[stack[-1]].append(cur)
         else:
             p = parent[v]
             rank.append(e)
-            label.append(space.dist[p][v] if p < v else space.dist[v][p])
-            kids.append([cur])
-            low.append(low[cur])
-            stack.append(len(low) - 1)
+            labels.append(space.dist[p][v] if p < v else space.dist[v][p])
+            children.append([cur])
+            points.append(None)
+            stack.append(len(labels) - 1)
         cur = v
     while stack:
         t = stack.pop()
-        adopt(t, cur)
+        children[t].append(cur)
         cur = t
-
-    # ids by (label, lowest point) and children by lowest point, so neither
-    # node ids nor the order RootedTree checks nodes in (which names the
-    # node an unvalidated matrix fails on) depend on the Prim order
-    m = len(rank)
-    created = sorted(range(n, n + m), key=lambda t: (rank[t - n], low[t]))
-    new_id = list(range(n + m))
-    for k, t in enumerate(created, n):
-        new_id[t] = k
-    for t in created:
-        labels.append(label[t - n])
-        children.append(tuple(new_id[c] for c in sorted(kids[t - n], key=low.__getitem__)))
-        points.append(None)
-    space._tree = RootedTree(labels, children, points, root=n + m - 1)
+    space._tree = RootedTree(labels, children, points, root=cur)
     return space._tree
 
 
@@ -307,31 +292,28 @@ def tree_to_space(tree: RootedTree) -> Space:
     """The ultrametric space a representing tree stands for.
 
     Distances are lowest-common-ancestor labels; points come out in the
-    tree's canonical leaf order.
+    tree's canonical leaf order.  The space keeps the tree: building the
+    representing tree from its matrix gives this tree node for node.
     """
     pts = tree.leaf_points()
     n = len(pts)
-    pos = {v: i for i, v in enumerate(tree.leaves())}
     matrix: list[list[Fraction]] = [[ZERO] * n for _ in range(n)]
-    leaf_lists: dict[int, list[int]] = {}
-    for v in reversed(tree.preorder()):
-        if tree.is_leaf(v):
-            leaf_lists[v] = [pos[v]]
-            continue
-        lists = [leaf_lists.pop(c) for c in tree.children[v]]
-        label = tree.labels[v]
-        for a in range(len(lists)):
-            for b in range(a + 1, len(lists)):
-                for i in lists[a]:
-                    row = matrix[i]
-                    for j in lists[b]:
-                        row[j] = label
-                        matrix[j][i] = label
-        merged: list[int] = []
-        for lst in lists:
-            merged.extend(lst)
-        leaf_lists[v] = merged
-    return Space(pts, matrix)
+    # node ids are preorder positions, so the leaves under node v hold the
+    # leaf positions first[v] .. end[v] - 1, the children's runs in order
+    first = list(accumulate((not ch for ch in tree.children), initial=0))
+    end = first[1:]
+    for v in reversed(tree.internal_nodes()):
+        ch, label = tree.children[v], tree.labels[v]
+        end[v] = hi = end[ch[-1]]
+        for c in ch[:-1]:
+            lo, mid = first[c], end[c]
+            for i in range(lo, mid):
+                matrix[i][mid:hi] = [label] * (hi - mid)
+            for j in range(mid, hi):
+                matrix[j][lo:mid] = [label] * (mid - lo)
+    space = Space(pts, matrix)
+    space._tree = tree
+    return space
 
 
 def ballean(tree: RootedTree) -> list[frozenset[str]]:

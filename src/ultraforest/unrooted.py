@@ -10,7 +10,6 @@ the conversion below realizes that criterion constructively.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -150,24 +149,15 @@ def unrooted_from_representing(tree: RootedTree) -> UnrootedTree:
     check = has_leaf_child_everywhere(tree)
     if not check:
         raise MissingLeafChild(check.witness)
-    if tree.is_leaf(tree.root):
-        p = tree.points[tree.root]
-        return UnrootedTree((p,), (), {p: ZERO})
-    vertices: list[str] = []
+    labels = {p: ZERO for p in tree.leaf_points()}  # a one-point tree keeps 0
     edges: list[tuple[str, str]] = []
-    labels: dict[str, Fraction] = {}
-    queue = deque([(tree.root, None)])
-    while queue:
-        v, attach = queue.popleft()
+    last: dict[int, str] = {}  # internal node -> last vertex of its chain
+    for v in tree.internal_nodes():
         chain = [tree.points[c] for c in tree.children[v] if tree.is_leaf(c)]
         for p in chain:
             labels[p] = tree.labels[v]
-        vertices.extend(chain)
-        if attach is not None:
-            edges.append((attach, chain[0]))
-        for a, b in zip(chain, chain[1:]):
-            edges.append((a, b))
-        for c in tree.children[v]:
-            if not tree.is_leaf(c):
-                queue.append((c, chain[-1]))
-    return UnrootedTree(vertices, edges, labels)
+        if v != tree.root:
+            edges.append((last[tree.parent(v)], chain[0]))
+        edges.extend(zip(chain, chain[1:]))
+        last[v] = chain[-1]
+    return UnrootedTree(list(labels), edges, labels)

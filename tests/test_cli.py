@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ultraforest.cli import main
+from ultraforest.core import Space
 from ultraforest.errors import MissingLeafChild, NotUltrametricGenerating
 from ultraforest.formats import (
     TREE_JSON_MAX_HEIGHT,
@@ -402,8 +404,18 @@ class TestConvert:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-_TOKENS = ["0", "1", "2", "1/2", "0.5", "2/4", " 1/2", "-1", "0..5", "x", "", "1/0"]
-_JSON_TOKENS = st.sampled_from(_TOKENS) | st.sampled_from([0, 1, 2, -1, 0.5, True, None, [1]])
+_HUGE = ["1e5000", "1e-5000", "1e300000000"]
+_TOKENS = ["0", "1", "2", "1/2", "0.5", "2/4", " 1/2", "-1", "0..5", "x", "", "1/0", *_HUGE]
+# a JSON integer literal past CPython's 4,300-digit limit; json.dumps cannot
+# write it, so files carry this placeholder string in its place
+_HUGE_INT = "<5001 digits>"
+_JSON_TOKENS = st.sampled_from(_TOKENS) | st.sampled_from([0, 1, 2, -1, 0.5, True, None, [1], _HUGE_INT])
+# a prefix of raw bytes that is not UTF-8
+_PREFIXES = st.sampled_from([b"", b"", b"\xff\xfe"])
+
+
+def _encoded(text: str, prefix: bytes) -> bytes:
+    return prefix + text.replace(json.dumps(_HUGE_INT), "9" * 5001).encode()
 
 
 @st.composite
@@ -419,7 +431,7 @@ def matrix_files(draw):
     return "\n".join(",".join(row) for row in [points, *rows]) + "\n"
 
 
-_BAD_LABELS = st.sampled_from(["-1", "x", "", "1/0", None, True, 1.5, [1]])
+_BAD_LABELS = st.sampled_from(["-1", "x", "", "1/0", None, True, 1.5, [1], *_HUGE, _HUGE_INT])
 
 
 @st.composite
@@ -495,11 +507,11 @@ def _main_captured(argv):
 
 
 class TestNoTraceback:
-    @given(matrix_files())
-    def test_validate_exits_zero_or_two(self, text):
+    @given(matrix_files(), _PREFIXES)
+    def test_validate_exits_zero_or_two(self, text, prefix):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.txt"
-            path.write_text(text)
+            path.write_bytes(_encoded(text, prefix))
             code, out, err = _main_captured(["validate", str(path)])
         if code == 0:
             assert err == "" and out.startswith("valid:")
@@ -508,16 +520,101 @@ class TestNoTraceback:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
-    @given(tree_objs() | unrooted_objs())
-    def test_tree_and_unrooted_input_exits_zero_one_or_two(self, obj):
+    @given(tree_objs() | unrooted_objs(), _PREFIXES)
+    def test_tree_and_unrooted_input_exits_zero_one_or_two(self, obj, prefix):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.json"
-            path.write_text(json.dumps(obj))
+            path.write_bytes(_encoded(json.dumps(obj), prefix))
             for command in _COMMANDS:
                 code, out, err = _main_captured([command[0], str(path), *command[1:]])
                 assert code in (0, 1, 2), command
                 if code == 2:
                     assert err.startswith("error:") and err.count("\n") == 1, (command, err)
+
+
+_DIGITS_ERROR = "error: rational value with too many digits above or below the fraction bar\n"
+
+
+class TestInputLimits:
+    """Values past the digit limit and input that is not UTF-8 exit 2 with
+    one error line."""
+
+    @pytest.mark.parametrize("command", ["validate", "tree", "classify", "fingerprint"])
+    @pytest.mark.parametrize("token", ["1e5000", "1e-5000"])
+    def test_huge_csv_token(self, capsys, tmp_path, command, token):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,b\n0,{token}\n{token},0\n")
+        assert run(capsys, [command, str(path)]) == (2, "", _DIGITS_ERROR)
+
+    def test_huge_exponent_is_rejected_at_once(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n0,1e300000000\n1e300000000,0\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from ultraforest.cli import main; "
+            f"sys.exit(main(['validate', {str(path)!r}]))"
+        )
+        done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", _DIGITS_ERROR)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"points": ["a", "b"], "dist": [[0, HUGE], [HUGE, 0]]}',
+            '{"label": HUGE, "children": [{"label": 0, "point": "a"}, {"label": 0, "point": "b"}]}',
+            '{"vertices": [{"id": "a", "label": HUGE}, {"id": "b", "label": 1}], "edges": [["a", "b"]]}',
+        ],
+        ids=["matrix", "tree", "unrooted"],
+    )
+    def test_huge_json_integer(self, capsys, tmp_path, text):
+        path = tmp_path / "in.json"
+        path.write_text(text.replace("HUGE", "9" * 5001))
+        assert run(capsys, ["convert", str(path), "--to", "matrix"]) == (
+            2,
+            "",
+            "error: invalid JSON: an integer has too many digits\n",
+        )
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xff\xfea,b\n0,1\n1,0\n")
+        assert run(capsys, ["validate", str(path)]) == (
+            2,
+            "",
+            "error: input is not UTF-8: invalid start byte at byte 0\n",
+        )
+
+    def test_stdin_that_is_not_utf8(self, capsys, monkeypatch):
+        raw = io.BytesIO(b"a,b\n0,1\n1,\xff\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+        assert run(capsys, ["validate", "-"]) == (
+            2,
+            "",
+            "error: input is not UTF-8: invalid start byte at byte 10\n",
+        )
+
+
+def _permuted(space, seed):
+    """The same space with its points, rows and columns in a random order."""
+    perm = random.Random(seed).sample(range(len(space)), len(space))
+    return Space([space.points[i] for i in perm], [[space.dist[i][j] for j in perm] for i in perm])
+
+
+class TestCanonicalOutput:
+    """Node ids depend on the space alone, so a permuted copy of a file
+    prints the same bytes, certificates and DOT node names included."""
+
+    @pytest.mark.parametrize("command", [["classify", "--format", "json"], ["tree", "--dot"]])
+    def test_permuted_copy_prints_the_same(self, capsys, tmp_path, command):
+        for n in (6, 12, 20, 30):
+            for seed in range(5):
+                space = random_space(n, seed)
+                outputs = []
+                for k, copy in enumerate((space, _permuted(space, seed))):
+                    path = tmp_path / f"{n}-{seed}-{k}.csv"
+                    path.write_text(space_to_csv(copy))
+                    outputs.append(run(capsys, [command[0], str(path), *command[1:]]))
+                assert outputs[0] == outputs[1], (command, n, seed)
 
 
 class TestHereditary:
@@ -560,6 +657,13 @@ class TestHereditary:
         )
         assert code == 2
         assert "budget" in err
+
+    def test_negative_budget_is_an_input_error(self, capsys):
+        argv = ["hereditary", "counterexample", "rigid", "--max-n", "5", "--budget"]
+        assert run(capsys, [*argv, "-1"]) == (2, "", "error: budget must be at least 0\n")
+        code, out, err = run(capsys, [*argv, "0"])
+        assert (code, out) == (2, "")
+        assert err == "error: search budget of 0 instances exhausted before a verdict\n"
 
     def test_verify_rejects_budget(self, capsys):
         code, out, err = run(

@@ -273,7 +273,8 @@ class TestRanks:
 
     def test_build_seeds_ranks_and_spectrum(self):
         asymmetric = Space(["a", "b", "c"], [[0, 1, 2], [3, 0, 2], [Fraction(2), 2, 0]])
-        for space in (random_space(30, 5), asymmetric):
+        generated = random_space(30, 5)
+        for space in (Space(generated.points, generated.dist), asymmetric):
             assert space._ranks is None and space._spectrum is None
             build_representing_tree(space)
             fresh = Space(space.points, space.dist)

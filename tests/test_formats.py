@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,34 @@ class TestParseRational:
             parse_rational("1/0")
         with pytest.raises(ParseError):
             parse_rational(None)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1e5000", "1e-5000", "1e4300", "-1e-4300", "1" * 4301, 10**4300, "2/" + "3" * 4301],
+        ids=["e5000", "e-5000", "e4300", "e-4300", "4301-digit", "int", "denominator"],
+    )
+    def test_rejects_more_digits_than_the_limit(self, token):
+        with pytest.raises(ParseError):
+            parse_rational(token)
+
+    def test_accepts_up_to_the_limit(self):
+        assert parse_rational("1e4299") == 10**4299
+        assert parse_rational("-1e-4299") == Fraction(-1, 10**4299)
+        assert parse_rational("9" * 4300) == 10**4300 - 1
+        assert parse_rational("1000e-4302") == Fraction(1, 10**4299)
+        # zero stays zero, however large its exponent
+        assert parse_rational("0.00e5000") == parse_rational("-0e-9000") == 0
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter digit limit")
+    def test_a_lower_interpreter_limit_wins(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            assert parse_rational("1e999") == 10**999
+            with pytest.raises(ParseError, match="too many digits"):
+                parse_rational("1e1000")
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_format_roundtrip(self):
         for q in (Fraction(3, 4), Fraction(-2), Fraction(0), Fraction(22, 7)):

@@ -7,6 +7,7 @@ from ultraforest.classify import CLASS_IDS, membership
 from ultraforest.core import restrict
 from ultraforest.errors import (
     BudgetExhausted,
+    FormatMismatch,
     NotInClass,
     SingletonSpace,
     UnknownClass,
@@ -185,6 +186,10 @@ class TestCounterexampleSearch:
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExhausted):
             hereditary_counterexample_search("strictly_binary", max_n=6, budget=10)
+
+    def test_negative_budget(self):
+        with pytest.raises(FormatMismatch, match="budget must be at least 0"):
+            hereditary_counterexample_search("strictly_binary", max_n=6, budget=-1)
 
     def test_unknown_class(self):
         with pytest.raises(UnknownClass):

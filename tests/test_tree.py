@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from ultraforest.errors import (
     UltrametricError,
     UnknownNode,
 )
+from ultraforest.formats import tree_from_json_obj, tree_to_json_obj
 from ultraforest.gen import enumerate_rank_trees, enumerate_spaces, random_space, random_unrooted
 from ultraforest.tree import (
     RootedTree,
@@ -189,7 +191,8 @@ class TestTreeKeptOnSpace:
         assert build_representing_tree(figure16) is build_representing_tree(figure16)
 
     def test_classify_and_membership_reuse_the_tree(self, monkeypatch):
-        space = random_space(6, 3)
+        generated = random_space(6, 3)
+        space = Space(generated.points, generated.dist)
         built = []
         init = RootedTree.__init__
 
@@ -291,6 +294,82 @@ class TestAgainstBucketMerge:
     @given(unvalidated_matrices())
     def test_unvalidated_matrices(self, m):
         _assert_bucket_merge_tree(Space([f"p{i}" for i in range(len(m))], m))
+
+
+def _preorder_walk(tree):
+    order, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(tree.children[v]))
+    return order
+
+
+def _shuffled(obj, rng):
+    """Tree JSON with every child list in a random order."""
+    if "children" not in obj:
+        return obj
+    kids = [_shuffled(c, rng) for c in obj["children"]]
+    rng.shuffle(kids)
+    return {"label": obj["label"], "children": kids}
+
+
+def _assert_keeps_its_tree(space):
+    """The tree a space keeps is, node for node, the build from its matrix."""
+    assert space._tree is not None
+    fresh = Space(space.points, space.dist)
+    assert _outcome(lambda s: s._tree, space) == _outcome(build_representing_tree, fresh)
+
+
+class TestCanonicalIds:
+    """Node v is the v-th node of the canonical preorder, whatever built
+    the tree and however its input was numbered."""
+
+    def test_ids_are_preorder_positions(self, figure16_tree):
+        generated = random_space(30, 1)
+        trees = [
+            figure16_tree,
+            *enumerate_rank_trees(5),
+            build_representing_tree(Space(generated.points, generated.dist)),
+            bucket_merge_tree(random_space(20, 2)),
+            build_representing_tree(space_from_unrooted(random_unrooted(25, 3))),
+        ]
+        for tree in trees:
+            assert tree.root == 0
+            assert _preorder_walk(tree) == list(tree.preorder()) == list(range(tree.n_nodes))
+
+    def test_errors_name_canonical_ids(self):
+        # one tree numbered two ways, its root label negative
+        for labels, children, points, root in (
+            ([Fraction(0), Fraction(0), Fraction(-1)], [(), (), (0, 1)], ["a", "b", None], 2),
+            ([Fraction(-1), Fraction(0), Fraction(0)], [(2, 1), (), ()], [None, "b", "a"], 0),
+        ):
+            with pytest.raises(InvalidTree, match="internal node 0 needs a positive label"):
+                RootedTree(labels, children, points, root=root)
+
+
+class TestKeptTree:
+    """A space made from a tree keeps it, and it is the tree its matrix builds."""
+
+    def test_enumerated_spaces(self):
+        for n in range(1, 9):
+            for space in enumerate_spaces(n):
+                _assert_keeps_its_tree(space)
+
+    def test_random_spaces(self):
+        for n in list(range(1, 41)) + [100, 200]:
+            for seed in range(3):
+                _assert_keeps_its_tree(random_space(n, seed))
+
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10_000))
+    def test_trees_parsed_from_json(self, n, seed):
+        original = random_space(n, seed)._tree
+        tree = tree_from_json_obj(_shuffled(tree_to_json_obj(original), random.Random(seed)))
+        # the input's child order and numbering do not reach the ids
+        assert (tree.labels, tree.children, tree.points) == (original.labels, original.children, original.points)
+        space = tree_to_space(tree)
+        assert space._tree is tree
+        _assert_keeps_its_tree(space)
 
 
 class TestTreeToSpace:
