@@ -513,11 +513,12 @@ class ClassReport:
 def _evaluate(space: Space, tree: RootedTree) -> tuple[dict[str, Verdict], dict]:
     """Every class verdict, in catalog order, and the report extras."""
     verdicts = {cid: test(space, tree) for cid, test in _CLASSES.items()}
+    m = len(spectrum(space)) - 1  # labels fall strictly down root paths: a leaf meets all m at depth m
     extras = {
         "height": height(tree),
         "max_out_degree": max_out_degree(tree),
         "self_isometries": count_self_isometries(tree),
-        "level_graphs_cover_all_points": level_graphs_cover_all_points(space),
+        "level_graphs_cover_all_points": all(tree.level(v) == m for v in tree.leaves()),
         "ball_count": tree.n_nodes,
     }
     return verdicts, extras
@@ -728,7 +729,7 @@ def audit_equivalences(space: Space) -> list[Discrepancy]:
     )
 
     # point spectra versus leaf/label levels
-    cover = extras["level_graphs_cover_all_points"]
+    cover = level_graphs_cover_all_points(space)
     check(
         "leaf_levels_spectrum_sizes",
         structural=leaf_levels.ok,

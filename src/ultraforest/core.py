@@ -13,7 +13,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from itertools import compress, repeat
+from operator import gt
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import (
     DiagonalNonzero,
@@ -53,13 +55,9 @@ class PointSpectrum:
 
 
 def _coerce_entry(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         return Fraction(value)
-    raise FormatMismatch(
-        f"matrix entries must be exact rationals or integers, got {type(value).__name__}"
-    )
+    raise FormatMismatch(f"matrix entries must be exact rationals or integers, got {type(value).__name__}")
 
 
 class Space:
@@ -112,14 +110,15 @@ class Space:
         return f"Space({len(self.points)} points, diameter {diameter(self)})"
 
 
-def validate_space(matrix: Sequence[Sequence], points: Sequence[str]) -> Space:
+def validate_space(matrix: Sequence[Sequence], points: Sequence[str], *, parsed: dict | None = None) -> Space:
     """Check a distance matrix and return the Space it defines.
 
-    Raises NotSymmetric / DiagonalNonzero / OffDiagonalZero /
-    NegativeDistance / StrongTriangleViolation with a witness, in that
-    order of scanning; FormatMismatch for shape or entry-type problems.
-    Accepted input costs O(n²); only a strong-triangle violation pays for
-    the O(n³) scan that names the first violating triple.
+    Raises DiagonalNonzero, NotSymmetric / NegativeDistance /
+    OffDiagonalZero or StrongTriangleViolation for the first fault in scan
+    order, FormatMismatch for shape or entry-type problems.  ``parsed``
+    maps each distinct entry, and nothing else, to its rational, as for the
+    file parsers' token rows.  The checks cost O(n²) on integer ranks;
+    naming a violating triple adds O(n) per pair above its path maximum.
     """
     pts = [str(p) for p in points]
     n = len(pts)
@@ -130,72 +129,67 @@ def validate_space(matrix: Sequence[Sequence], points: Sequence[str]) -> Space:
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise FormatMismatch(f"matrix must be {n}x{n} to match the point count")
 
-    d = [[_coerce_entry(matrix[i][j]) for j in range(n)] for i in range(n)]
-
-    for i in range(n):
-        if d[i][i] != 0:
+    if parsed is None:  # each distinct entry object is checked once
+        parsed = {key: _coerce_entry(v) for key, v in _by_id(matrix).items()}
+        matrix = [map(id, row) for row in matrix]
+    values, rank = _ranked({**parsed, ZERO: ZERO})  # 0 always has a rank
+    rk = [tuple(map(rank.__getitem__, row)) for row in matrix]
+    d = [tuple(map(values.__getitem__, row)) for row in rk]
+    zero = bisect_left(values, ZERO)  # rank order is value order
+    for i, row in enumerate(rk):
+        if row[i] != zero:
             raise DiagonalNonzero(pts[i])
-
-    # The pair scan and the Prim check read integer ranks: rank order is
-    # value order.
-    values, rk = _encode(d)
-    zero = bisect_left(values, ZERO)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rk[i][j] != rk[j][i]:
-                raise NotSymmetric(pts[i], pts[j])
-            if rk[i][j] < zero:
-                raise NegativeDistance(pts[i], pts[j])
-            if rk[i][j] == zero:
-                raise OffDiagonalZero(pts[i], pts[j])
-    if prim_order(rk) is None:
-        # Only a matrix that is not ultrametric gets here, so some triple
-        # violates the strong triangle inequality: name the first in scan order.
-        # The scan reads the values; running it on the ranks is open under
-        # ROADMAP item 13, for rejected input only.
+    # no value below 0, one 0 per row, symmetric; else the scan names a fault
+    if zero or sum(map(tuple.count, rk, repeat(zero))) != n or not all(map(tuple.__eq__, rk, zip(*rk))):
         for i in range(n):
             for j in range(i + 1, n):
-                dij = d[i][j]
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    if dij > max(d[i][k], d[k][j]):
-                        raise StrongTriangleViolation(pts[i], pts[j], pts[k])
+                if rk[i][j] != rk[j][i]:
+                    raise NotSymmetric(pts[i], pts[j])
+                if rk[i][j] < zero:
+                    raise NegativeDistance(pts[i], pts[j])
+                if rk[i][j] == zero:
+                    raise OffDiagonalZero(pts[i], pts[j])
+    if prim_order(rk) is None:
+        # a witness k is a path i-k-j below rk[i][j] = r, so only a pair
+        # above its path maximum has one; k = i or j fails on r itself
+        for i, j in _excess_pairs(rk):
+            r, ri, rj = rk[i][j], rk[i], rk[j]
+            for k in range(n):
+                if ri[k] < r and rj[k] < r:
+                    raise StrongTriangleViolation(pts[i], pts[j], pts[k])
     space = Space(pts, d)
     space._ranks = rk
     space._spectrum = tuple(values)
     return space
 
 
-def _ranked_objects(rows) -> tuple[list[Fraction], dict[int, int]]:
-    """The sorted distinct entries of a matrix, 0 among them, and the index
-    in that list (the rank) of every entry object, by id.
-
-    Parsers and tree builders share one object per token spelling or
-    label, so each distinct object is ranked once and cells go by id.
-    Objects sort by floor(v * 2**64), an exact integer, and compare as
-    Fractions only on ties: hashing or comparing a Fraction is slow.
+def _ranked(parsed: dict) -> tuple[list[Fraction], dict]:
+    """The sorted distinct values of a dict of rationals, 0 among them, and
+    each key's rank, the index of its value there.  Values sort by floor(v *
+    2**64), an exact integer, and compare only on ties: Fractions are slow.
     """
-    objects = {id(v): v for row in rows for v in row}
-    objects.setdefault(id(ZERO), ZERO)
-    keyed = sorted(
-        [((v.numerator << 64) // v.denominator, v, k, i) for k, (i, v) in enumerate(objects.items())]
-    )
+    keyed = sorted([((v.numerator << 64) // v.denominator, v, k, key) for k, (key, v) in enumerate(parsed.items())])
     values: list[Fraction] = []
-    rank: dict[int, int] = {}
-    coarse = None
-    for c, v, _, i in keyed:
+    rank, coarse = {}, None
+    for c, v, _, key in keyed:
         if c != coarse or v != values[-1]:
             values.append(v)
             coarse = c
-        rank[i] = len(values) - 1
+        rank[key] = len(values) - 1
     return values, rank
+
+
+def _by_id(rows) -> dict[int, Any]:
+    """Every entry object of a matrix and 0, by id: tree builders share one per label."""
+    objects = {id(v): v for row in rows for v in row}
+    objects.setdefault(id(ZERO), ZERO)
+    return objects
 
 
 def _encode(rows) -> tuple[list[Fraction], list[tuple[int, ...]]]:
     """The sorted distinct entries of a matrix, 0 among them, and the matrix
     with every entry replaced by its rank."""
-    values, rank = _ranked_objects(rows)
+    values, rank = _ranked(_by_id(rows))
     get = rank.__getitem__
     return values, [tuple(map(get, map(id, row))) for row in rows]
 
@@ -262,9 +256,14 @@ def excess_pair(rk: Sequence[Sequence[int]]) -> tuple[int, int]:
     The matrix is one ``prim_order`` rejects: some pair then lies farther
     apart than that path maximum, its subdominant distance.
     """
+    return min(_excess_pairs(rk), key=lambda ij: (rk[ij[0]][ij[1]], ij))
+
+
+def _excess_pairs(rk: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """Those pairs in (i, j) order, after one path-maximum pass."""
     pm = path_max(*prim_order(rk, check=False))
-    n = len(rk)
-    return min((rk[i][j], i, j) for i in range(n) for j in range(i + 1, n) if rk[i][j] > pm[i][j])[1:]
+    for i, (row, low) in enumerate(zip(rk, pm)):
+        yield from zip(repeat(i), compress(range(i + 1, len(row)), map(gt, row[i + 1 :], low[i + 1 :])))
 
 
 def path_max(order: Sequence[int], parent: Sequence[int], edge: Sequence[int]) -> list[list[int]]:
@@ -288,7 +287,7 @@ def spectrum(space: Space) -> tuple[Fraction, ...]:
     Computed once per space; ``validate_space`` and ``rank_matrix`` seed it.
     """
     if space._spectrum is None:
-        space._spectrum = tuple(_ranked_objects(space.dist)[0])
+        space._spectrum = tuple(_ranked(_by_id(space.dist))[0])
     return space._spectrum
 
 

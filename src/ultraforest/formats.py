@@ -23,7 +23,10 @@ from .unrooted import UnrootedTree
 # below the fraction bar are refused, so every accepted value prints.
 MAX_DIGITS = 4300
 
+SHOWN_CHARS = 40  # of a token, in an error line
+
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+_DIGIT_RUN = re.compile(r"\d+")
 
 
 def parse_rational(token) -> Fraction:
@@ -32,7 +35,8 @@ def parse_rational(token) -> Fraction:
     if isinstance(token, float):
         raise ParseError(f'refusing inexact float {token!r}; write it as a string, e.g. "1/4"')
     if isinstance(token, bool) or not isinstance(token, (int, str)):
-        raise ParseError(f"not a rational value: {token!r}")
+        raise ParseError(f"not a rational value: {_shown(token)}")
+    value = None
     try:
         if isinstance(token, int):
             value = Fraction(token)
@@ -45,33 +49,43 @@ def parse_rational(token) -> Fraction:
                 text = text[: exp.start(1)] + str(MAX_DIGITS + len(text) + 1)
             value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational value: {token!r}") from exc
+        # int() refuses a digit run past the interpreter limit before the
+        # spelling is read: a spelling that holds with short runs is too long
+        if isinstance(exc, ZeroDivisionError) or not _well_spelled(_DIGIT_RUN.sub("1", text)):
+            raise ParseError(f"not a rational value: {_shown(token)}") from exc
     try:  # str() also refuses a value past a lower interpreter limit
-        if max(len(str(abs(value.numerator))), len(str(value.denominator))) <= MAX_DIGITS:
+        if value is not None and max(len(str(abs(value.numerator))), len(str(value.denominator))) <= MAX_DIGITS:
             return value
     except ValueError:
         pass
     raise ParseError("rational value with too many digits above or below the fraction bar")
 
 
-def _token_parser():
-    """``parse_rational`` that parses each distinct string or JSON integer
-    token once.
+def _well_spelled(text: str) -> bool:
+    try:
+        Fraction(text)
+    except ValueError:
+        return False
+    return True
 
-    Equal values spelled differently ("1/2", "0.5") are still equal
-    Fractions; any other token type goes straight to ``parse_rational``.
-    """
-    cache: dict[str | int, Fraction] = {}
 
-    def parse(token) -> Fraction:
-        if type(token) is not str and type(token) is not int:
-            return parse_rational(token)
-        value = cache.get(token)
-        if value is None:
-            value = cache[token] = parse_rational(token)
-        return value
+def _shown(token) -> str:
+    """A token for an error line, cut after SHOWN_CHARS characters (of its repr, if not a string)."""
+    text = token if isinstance(token, str) else repr(token)
+    return repr(token) if len(text) <= SHOWN_CHARS else f"{text[:SHOWN_CHARS]!r}... ({len(text)} characters)"
 
-    return parse
+
+def _parse_new(parsed: dict, row: list, keys: list) -> None:
+    """Parse the row's tokens whose keys are new, in row order: the first bad one is named."""
+    try:
+        firsts = dict(zip(keys, row))  # first-seen order; equal keys, equal tokens
+    except TypeError:  # a JSON list or object, which parse_rational refuses
+        for tok in row:
+            parse_rational(tok)
+        raise
+    for key, tok in firsts.items():
+        if key not in parsed:
+            parsed[key] = parse_rational(tok)
 
 
 def format_rational(value: Fraction) -> str:
@@ -112,13 +126,12 @@ def space_from_csv(text: str) -> Space:
         raise ParseError(
             f"expected {n} matrix rows after the header, found {len(rows) - 1}"
         )
-    parse = _token_parser()
-    matrix = []
+    parsed: dict[str, Fraction] = {}
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}", position=i)
-        matrix.append([parse(tok) for tok in row])
-    return validate_space(matrix, points)
+        _parse_new(parsed, row, row)
+    return validate_space(rows[1:], points, parsed=parsed)
 
 
 def space_to_json_obj(space: Space) -> dict:
@@ -139,9 +152,11 @@ def space_from_json_obj(obj) -> Space:
         raise ParseError('"points" must be a list of strings')
     if not isinstance(dist, list) or not all(isinstance(r, list) for r in dist):
         raise ParseError('"dist" must be a list of rows')
-    parse = _token_parser()
-    matrix = [[parse(tok) for tok in row] for row in dist]
-    return validate_space(matrix, points)
+    # keyed by type too, as true == 1; only str and int tokens parse
+    parsed: dict[tuple[type, str | int], Fraction] = {}
+    for row in dist:
+        _parse_new(parsed, row, list(zip(map(type, row), row)))
+    return validate_space(dist, points, parsed={tok: v for (_, tok), v in parsed.items()})
 
 
 def space_to_json(space: Space) -> str:

@@ -422,6 +422,19 @@ class TestMembershipAndClassify:
         assert report.extras["ball_count"] == 23
         assert report.extras["level_graphs_cover_all_points"] is False
 
+    def test_cover_extra_read_off_the_tree_matches_the_matrix(self, homogeneous24):
+        """The report reads the cover from leaf depths; the matrix function
+        the audit calls must agree on every space."""
+        n = 30
+        star = Space([f"s{i}" for i in range(n)], [[Fraction(i != j) for j in range(n)] for i in range(n)])
+        caterpillar = Space([f"c{i}" for i in range(n)], [[Fraction(max(i, j) * (i != j)) for j in range(n)] for i in range(n)])
+        spaces = [s for k in range(2, 7) for s in enumerate_spaces(k)]
+        spaces += [random_space(k, seed) for k in (2, 9, 40) for seed in range(5)]
+        spaces += [star, caterpillar, homogeneous24]
+        covered = [classify(s).extras["level_graphs_cover_all_points"] for s in spaces]
+        assert covered == [level_graphs_cover_all_points(s) for s in spaces]
+        assert any(covered) and not all(covered)
+
     def test_classify_certificates_are_dicts(self, perfect_binary4):
         report = classify(perfect_binary4)
         for verdict in report.classes.values():

@@ -546,6 +546,21 @@ class TestInputLimits:
         path.write_text(f"a,b\n0,{token}\n{token},0\n")
         assert run(capsys, [command, str(path)]) == (2, "", _DIGITS_ERROR)
 
+    @pytest.mark.parametrize("command", ["validate", "tree"])
+    def test_long_integer_token_has_too_many_digits(self, capsys, tmp_path, command):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,b\n0,{'1' * 4301}\n1,0\n")
+        assert run(capsys, [command, str(path)]) == (2, "", _DIGITS_ERROR)
+
+    def test_long_bad_token_is_cut_in_the_error_line(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,b\n0,{'1' * 4300}x\n1,0\n")
+        assert run(capsys, ["validate", str(path)]) == (
+            2,
+            "",
+            f"error: not a rational value: '{'1' * 40}'... (4301 characters)\n",
+        )
+
     def test_huge_exponent_is_rejected_at_once(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n0,1e300000000\n1e300000000,0\n")

@@ -221,6 +221,21 @@ def perturbed_spaces(draw):
 
 
 @st.composite
+def multiply_perturbed_spaces(draw):
+    """A random_space matrix (n <= 30) with one to four symmetric pairs set
+    to other positive values: many pairs then lie above their path maximum,
+    most of them without a witness."""
+    n = draw(st.integers(min_value=3, max_value=30))
+    space = random_space(n, draw(st.integers(min_value=0, max_value=10_000)))
+    matrix = [list(row) for row in space.dist]
+    values = st.sampled_from(spectrum(space)[1:]) | st.fractions(min_value=Fraction(1, 8), max_value=30)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        matrix[i][j] = matrix[j][i] = draw(values.filter(lambda v: v > 0))
+    return matrix
+
+
+@st.composite
 def small_matrices(draw):
     """Small zero-diagonal matrices over a few values, zeros and negatives
     among them; symmetric unless one cell is drawn apart."""
@@ -256,6 +271,45 @@ class TestFastValidation:
             assert ultrametric_violation(matrix) is not None
             assert prim_order(_ranks(matrix)) is None
             assert (exc.value.x, exc.value.y, exc.value.z) == tuple(points[t] for t in triple)
+
+    @settings(max_examples=200)
+    @given(multiply_perturbed_spaces())
+    def test_names_the_first_witness_among_many_excess_pairs(self, matrix):
+        points = [f"p{i}" for i in range(len(matrix))]
+        triple = first_strong_triangle_violation(matrix)
+        if triple is None:
+            assert validate_space(matrix, points).dist == tuple(map(tuple, matrix))
+            return
+        with pytest.raises(StrongTriangleViolation) as exc:
+            validate_space(matrix, points)
+        assert (exc.value.x, exc.value.y, exc.value.z) == tuple(points[t] for t in triple)
+
+    def test_only_violation_on_the_last_pair_in_scan_order(self):
+        space = random_space(60, 11)
+        matrix = [list(row) for row in space.dist]
+        matrix[58][59] = matrix[59][58] = 2 * diameter(space)
+        assert first_strong_triangle_violation(matrix) == (58, 59, 0)
+        with pytest.raises(StrongTriangleViolation) as exc:
+            validate_space(matrix, space.points)
+        assert (exc.value.x, exc.value.y, exc.value.z) == (space.points[58], space.points[59], space.points[0])
+
+    @settings(max_examples=100)
+    @given(st.one_of(perturbed_spaces(), small_matrices()))
+    def test_parsed_token_rows_validate_as_the_matrix(self, matrix):
+        """Token rows with ``parsed`` (two spellings per value) give the same
+        space or the same error as the matrix of values."""
+        points = [f"p{i}" for i in range(len(matrix))]
+        spell = {v: (str(v), f"{v.numerator * 2}/{v.denominator * 2}") for row in matrix for v in row}
+        tokens = [[spell[v][(i + j) % 2] for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+        parsed = {tok: v for v, pair in spell.items() for tok in pair}
+        outcomes = []
+        for rows, given in ((matrix, None), (tokens, parsed)):
+            try:
+                space = validate_space(rows, points, parsed=given)
+                outcomes.append((space.dist, space._ranks, spectrum(space)))
+            except (NotSymmetric, NegativeDistance, OffDiagonalZero, StrongTriangleViolation) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_spectrum_is_computed_once(self, figure16):
         assert spectrum(figure16) is spectrum(figure16)

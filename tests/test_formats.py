@@ -62,6 +62,34 @@ class TestParseRational:
         with pytest.raises(ParseError):
             parse_rational(token)
 
+    @pytest.mark.parametrize(
+        "token",
+        ["1" * 4301, "-" + "9" * 5000, "1" * 4301 + "/3", "0." + "0" * 4400 + "1", "1e" + "9" * 5000],
+        ids=["integer", "negative", "numerator", "decimal", "exponent"],
+    )
+    def test_a_long_digit_run_is_too_many_digits(self, token):
+        with pytest.raises(ParseError) as exc:
+            parse_rational(token)
+        assert str(exc.value) == "rational value with too many digits above or below the fraction bar"
+
+    def test_a_long_bad_token_is_cut_with_its_length(self):
+        for token in ("1" * 4301 + "x", "x" * 41, " " + "1" * 4400 + "..5"):
+            with pytest.raises(ParseError) as exc:
+                parse_rational(token)
+            assert str(exc.value) == f"not a rational value: {token[:40]!r}... ({len(token)} characters)"
+
+    def test_a_long_json_value_is_cut_with_its_length(self):
+        with pytest.raises(ParseError) as exc:
+            parse_rational(list(range(100)))
+        shown = repr(list(range(100)))
+        assert str(exc.value) == f"not a rational value: {shown[:40]!r}... ({len(shown)} characters)"
+
+    @pytest.mark.parametrize("token", ["0..5", "x" * 40, "1/0", "three"])
+    def test_short_bad_tokens_are_quoted_whole(self, token):
+        with pytest.raises(ParseError) as exc:
+            parse_rational(token)
+        assert str(exc.value) == f"not a rational value: {token!r}"
+
     def test_accepts_up_to_the_limit(self):
         assert parse_rational("1e4299") == 10**4299
         assert parse_rational("-1e-4299") == Fraction(-1, 10**4299)
@@ -175,6 +203,47 @@ class TestTokenSpellings:
         with pytest.raises(ParseError) as exc:
             space_from_json(text)
         assert str(exc.value) == message
+
+
+class TestParseOrder:
+    """CSV checks each row's length before it parses the row; JSON parses
+    every token before it checks the shape.  The first fault in that order
+    is the one reported."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,c\n0,1,x\n1,0\n1,1,0\n", "not a rational value: 'x'"),
+            ("a,b,c\n0,1,1\n1,0\n1,x,0\n", "row has 2 entries, expected 3 at 3"),
+            ("a,b\n0,x\n x,0\n", "not a rational value: 'x'"),
+            ('{"points": ["a", "b"], "dist": [[0, 1], [true, 0]]}', "not a rational value: True"),
+            ('{"points": ["a", "b"], "dist": [[0, true], [1, 0]]}', "not a rational value: True"),
+            ('{"points": ["a", "b"], "dist": [[0, "0..5"], [0.5, 0]]}', "not a rational value: '0..5'"),
+            ('{"points": ["a", "b"], "dist": [[0], [1, "y"]]}', "not a rational value: 'y'"),
+            ('{"points": ["a", "b"], "dist": [[0, [1]], ["z", 0]]}', "not a rational value: [1]"),
+            ('{"points": ["a", "b"], "dist": [["q", [1]], [1, 0]]}', "not a rational value: 'q'"),
+        ],
+        ids=[
+            "csv-token-before-short-row",
+            "csv-short-row-before-token",
+            "csv-respelled-token",
+            "json-true-after-1",
+            "json-true-before-1",
+            "json-float-after-bad-string",
+            "json-token-before-shape",
+            "json-list-first",
+            "json-string-before-list",
+        ],
+    )
+    def test_first_fault_is_reported(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_space(text)
+        assert str(exc.value) == message
+
+    def test_json_string_and_integer_tokens_share_a_value(self):
+        space = parse_space('{"points": ["a", "b", "c"], "dist": [[0, "1", 2], [1, 0, "2"], ["2", 2, 0]]}')
+        assert spectrum(space) == (0, 1, 2)
+        assert space.dist == ((0, 1, 2), (1, 0, 2), (2, 2, 0))
 
 
 class TestParseSpaceSniffing:
