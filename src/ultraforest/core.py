@@ -284,7 +284,7 @@ def path_max(order: Sequence[int], parent: Sequence[int], edge: Sequence[int]) -
 def spectrum(space: Space) -> tuple[Fraction, ...]:
     """All distinct distance values, sorted ascending; always starts with 0.
 
-    Computed once per space; ``validate_space`` and ``rank_matrix`` seed it.
+    Computed once per space; ``validate_space``, ``rank_matrix`` and ``tree_to_space`` seed it.
     """
     if space._spectrum is None:
         space._spectrum = tuple(_ranked(_by_id(space.dist))[0])

@@ -1,10 +1,15 @@
 """Enumeration and random generation of small ultrametric spaces.
 
-Shapes are rooted trees with every internal out-degree >= 2, identified up
-to isomorphism.  Spaces are enumerated up to weak similarity by assigning
-label ranks 1..m to internal nodes, strictly decreasing away from the
-root, and deduplicating by canonical code; realized with integer labels,
-each class appears exactly once.
+A shape is a rooted tree with every internal out-degree >= 2, up to
+isomorphism: a nested tuple, () for a leaf, otherwise the sorted tuple of
+its child shapes.  A weak-similarity class is a shape whose internal nodes
+carry ranks 1..m, strictly decreasing away from the root.  Its vector lists
+the node labels, 0 at the leaves, in the preorder of its least arrangement:
+equal-shaped siblings in the order that makes the vector lexicographically
+least.  One multiset recursion generates every class once, with no
+deduplication.  Classes come sorted by (shape, vector); each is realized
+with its ranks as labels and its leaves named x1..xn in the preorder of its
+least arrangement.
 """
 
 from __future__ import annotations
@@ -12,16 +17,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations
 
-from .canonical import canonical_code
 from .core import ZERO, Space
 from .errors import FormatMismatch
 from .tree import RootedTree, tree_to_space
 from .unrooted import UnrootedTree
-
-# A shape is a nested tuple: () is a leaf, otherwise the sorted tuple of
-# child shapes.
 
 
 def shape_leaf_count(shape) -> int:
@@ -30,122 +31,78 @@ def shape_leaf_count(shape) -> int:
     return sum(shape_leaf_count(c) for c in shape)
 
 
-def _partitions(total: int, max_part: int) -> list[tuple[int, ...]]:
-    """Integer partitions of ``total`` in descending order, parts <= max_part."""
-    if total == 0:
-        return [()]
-    out = []
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
-            out.append((first,) + rest)
-    return out
+def _classes(n_leaves: int) -> list[tuple[tuple, tuple[int, ...]]]:
+    """(shape, vector) of every class on n_leaves points, sorted; every
+    table lives in this call.
+
+    A class with ranks 1..m is a root ranked m over a multiset of at least
+    two children, each a leaf or a smaller class moved by an order-preserving
+    map onto ranks; together they cover 1..m-1, and equal children come in
+    non-decreasing vectors.  The map keeps a child's shape and child order,
+    so sorting the children by (shape, vector) gives the least arrangement.
+    """
+    if n_leaves < 1:
+        raise FormatMismatch("shapes need at least one leaf")
+    table = [[], [((), (0,))]]  # table[k]: the classes on k leaves
+    for n in range(2, n_leaves + 1):
+        pool = [(k, shape, vec) for k in range(n - 1, 0, -1) for shape, vec in table[k]]
+        # pool[first[k]:] are the entries with at most k leaves
+        first = [sum(map(len, table[k + 1 : n])) for k in range(n + 1)]
+        found: list[tuple[tuple, tuple[int, ...]]] = []
+
+        def grow(start, placed, left, taken):
+            # placed: the children so far, each a (shape, vector) on its
+            # ranks, drawn from pool[:start + 1] in pool order, largest
+            # first; taken: the ranks they use, and 0
+            if not left:
+                shapes, vecs = zip(*sorted(placed))
+                found.append((shapes, (max(taken) + 1,) + sum(vecs, ())))
+                return
+            for i in range(max(start, first[left]), len(pool)):
+                k, shape, vec = pool[i]
+                # a child on k leaves has at most k - 1 ranks, so the later
+                # children add at most this many
+                later = max(left - k - 1, 0)
+                for a in combinations(range(1, len(taken) + max(vec) + later), max(vec)):
+                    more = taken.union(a)
+                    if max(more) < len(more) + later:  # the gaps can be filled
+                        mapped = tuple([a[r - 1] if r else 0 for r in vec])
+                        # equal children come in non-decreasing vectors
+                        if i != start or not placed or mapped >= placed[-1][1]:
+                            grow(i, placed + [(shape, mapped)], left - k, more)
+
+        grow(0, [], n, {0})
+        table.append(sorted(found))
+    return table[n_leaves]
 
 
 @lru_cache(maxsize=None)
 def enumerate_shapes(n_leaves: int) -> tuple:
     """All shapes with the given number of leaves, sorted canonically."""
-    if n_leaves < 1:
-        raise FormatMismatch("shapes need at least one leaf")
-    if n_leaves == 1:
-        return ((),)
-    found = set()
-    for part in _partitions(n_leaves, n_leaves - 1):
-        if len(part) < 2:
-            continue
-        # group equal part sizes to draw multisets of child shapes
-        sizes: dict[int, int] = {}
-        for s in part:
-            sizes[s] = sizes.get(s, 0) + 1
-        pools = [
-            list(combinations_with_replacement(enumerate_shapes(s), mult))
-            for s, mult in sorted(sizes.items())
-        ]
-        for combo in product(*pools):
-            children = tuple(sorted(c for group in combo for c in group))
-            found.add(children)
-    return tuple(sorted(found))
-
-
-def _rank_labelings(shape) -> list[tuple[int, ...]]:
-    """Strictly decreasing rank assignments onto internal nodes, normalized.
-
-    Returned vectors list ranks in internal-node preorder; gaps are
-    compressed so the used values are exactly 1..m.
-    """
-    parents: list[int] = []
-
-    def scan(node, parent_idx):
-        if node == ():
-            return
-        idx = len(parents)
-        parents.append(parent_idx)
-        for child in node:
-            scan(child, idx)
-
-    scan(shape, -1)
-    k = len(parents)
-    if k == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    seen = set()
-    vec = [0] * k
-
-    def assign(i: int):
-        if i == k:
-            used = sorted(set(vec))
-            remap = {v: r + 1 for r, v in enumerate(used)}
-            norm = tuple(remap[v] for v in vec)
-            if norm not in seen:
-                seen.add(norm)
-                out.append(norm)
-            return
-        top = k if parents[i] < 0 else vec[parents[i]] - 1
-        for val in range(1, top + 1):
-            vec[i] = val
-            assign(i + 1)
-
-    assign(0)
-    return out
-
-
-def _tree_from_shape(shape, ranks: tuple[int, ...]) -> RootedTree:
-    labels: list[Fraction] = []
-    children: list[tuple[int, ...]] = []
-    points: list[str | None] = []
-    internal_seen = 0
-    leaf_seen = 0
-
-    def emit(node) -> int:
-        nonlocal internal_seen, leaf_seen
-        idx = len(labels)
-        labels.append(ZERO)
-        children.append(())
-        points.append(None)
-        if node == ():
-            leaf_seen += 1
-            points[idx] = f"x{leaf_seen}"
-        else:
-            labels[idx] = Fraction(ranks[internal_seen])
-            internal_seen += 1
-            children[idx] = tuple(emit(c) for c in node)
-        return idx
-
-    emit(shape)
-    return RootedTree(labels, children, points, root=0)
+    return tuple(dict.fromkeys(shape for shape, _ in _classes(n_leaves)))
 
 
 @lru_cache(maxsize=None)
 def enumerate_rank_trees(n_leaves: int) -> tuple[RootedTree, ...]:
-    """Representing trees of all weak-similarity classes on n_leaves points."""
+    """Representing trees of all weak-similarity classes on n_leaves
+    points, in ``_classes`` order, the leaves named x1..xn in the preorder
+    of each class's least arrangement."""
+    ranks = [ZERO] + [Fraction(r) for r in range(1, n_leaves)]
     out = []
-    seen = set()
-    for shape in enumerate_shapes(n_leaves):
-        for ranks in _rank_labelings(shape):
-            tree = _tree_from_shape(shape, ranks)
-            code = canonical_code(tree, "labeled")
-            if code not in seen:
-                seen.add(code)
-                out.append(tree)
+    drawn = None
+    for shape, vec in _classes(n_leaves):
+        if shape != drawn:
+            # the children and points of the shape, nodes in preorder
+            drawn, children, points, leaves = shape, [], [], 0
+            stack = [(shape, [])]
+            while stack:
+                node, siblings = stack.pop()
+                siblings.append(len(points))
+                children.append([])
+                stack.extend((c, children[-1]) for c in reversed(node))
+                leaves += not node
+                points.append(None if node else f"x{leaves}")
+        out.append(RootedTree([ranks[r] for r in vec], children, points))
     return tuple(out)
 
 

@@ -293,7 +293,9 @@ def tree_to_space(tree: RootedTree) -> Space:
 
     Distances are lowest-common-ancestor labels; points come out in the
     tree's canonical leaf order.  The space keeps the tree: building the
-    representing tree from its matrix gives this tree node for node.
+    representing tree from its matrix gives this tree node for node.  It
+    starts with its spectrum, 0 and the internal labels: a node with two
+    children is the lowest common ancestor of some pair.
     """
     pts = tree.leaf_points()
     n = len(pts)
@@ -313,6 +315,7 @@ def tree_to_space(tree: RootedTree) -> Space:
                 matrix[j][lo:mid] = [label] * (mid - lo)
     space = Space(pts, matrix)
     space._tree = tree
+    space._spectrum = tuple(sorted(set(tree.labels)))
     return space
 
 

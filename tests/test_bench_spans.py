@@ -42,3 +42,11 @@ def test_span_target_is_a_plain_function(layer, name):
     fn = _target(layer, name)
     assert callable(fn), f"ultraforest.{layer}.{name} is not traced"
     assert not inspect.isgeneratorfunction(fn), f"ultraforest.{layer}.{name} is a generator"
+
+
+@pytest.mark.parametrize("name", ["enumerate_spaces", "enumerate_rank_trees", "enumerate_shapes"])
+def test_enumeration_caches_can_be_cleared(name):
+    """``bench/workloads.py`` clears these caches before every sweep op, so
+    each op enumerates from cold; without them its setup fails."""
+    fn = getattr(importlib.import_module("ultraforest.gen"), name)
+    assert callable(fn.cache_clear) and callable(fn.cache_info)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -725,6 +726,26 @@ class TestGenerate:
         assert len(lines) == 6
         spaces = [parse_space(line) for line in lines]
         assert all(len(s) == 4 for s in spaces)
+
+    # sha256 of the stdout of ``generate --exhaustive --n k``: it pins the
+    # order of the classes, their point names and their matrices byte for
+    # byte, and with them every witness of the exhaustive sweeps
+    EXHAUSTIVE_DIGESTS = {
+        1: "6813648c455bed24591e42e02610c1d08f688ef02b177da8ae337fc85d29c0c6",
+        2: "54425a20bfac04272459e4f6ad46c118efdd1f0d1dfb1af97cd2906dbae79430",
+        3: "2f970e207c629ccf84354a8362ef0a5b14f858c504306ec595bb93f15b2d9439",
+        4: "845a77e5243662e980fc03b55481822c91a790a24d068f9f3bc5a537883faef8",
+        5: "d3a3db462fa1abc51865dac36d812112c7e333ecec2e60be458f455abb5374e4",
+        6: "912f3743e261a93673acb8cd8a43c058374f8200e1055f371e2d8155624b6bd9",
+        7: "d31d3b5ca01ff6ee1d31b342cfb2eb9beef995d15466cdbfd40643dbff414f2e",
+        8: "4ed29476978c63835e88745888509e196bfe91ce5a7d3a44e1d3707ddf73d677",
+    }
+
+    @pytest.mark.parametrize("n", sorted(EXHAUSTIVE_DIGESTS))
+    def test_exhaustive_output_is_pinned(self, capsys, n):
+        code, out, err = run(capsys, ["generate", "--exhaustive", "--n", str(n)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.EXHAUSTIVE_DIGESTS[n]
 
 
 class TestFingerprint:

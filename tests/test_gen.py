@@ -17,8 +17,8 @@ from ultraforest.unrooted import generates_ultrametric, space_from_unrooted
 
 from .oracles import all_small_ultrametrics, shape_count
 
-SHAPE_COUNTS = [1, 1, 2, 5, 12, 33]
-SPACE_COUNTS = [1, 1, 2, 6, 20, 90]
+SHAPE_COUNTS = [1, 1, 2, 5, 12, 33, 90, 261]  # OEIS A000669
+SPACE_COUNTS = [1, 1, 2, 6, 20, 90, 468, 2910]
 
 
 class TestShapes:

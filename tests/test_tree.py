@@ -372,6 +372,22 @@ class TestKeptTree:
         _assert_keeps_its_tree(space)
 
 
+class TestSeededSpectrum:
+    """A space made from a tree starts with its spectrum, 0 and the
+    internal labels, equal to the spectrum its matrix gives."""
+
+    def test_enumerated_trees(self):
+        for n in range(1, 8):
+            for tree in enumerate_rank_trees(n):
+                space = tree_to_space(tree)
+                assert space._spectrum == spectrum(Space(space.points, space.dist))
+
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=10_000))
+    def test_random_spaces(self, n, seed):
+        space = random_space(n, seed)
+        assert space._spectrum == spectrum(Space(space.points, space.dist))
+
+
 class TestTreeToSpace:
     def test_figure16_distances(self, figure16):
         assert figure16.distance("x8", "x9") == 1
