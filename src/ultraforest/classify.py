@@ -397,18 +397,22 @@ def shape_spectrum_labelings(space: Space) -> int:
     counts the labelings of subtree shape s with root label below t (a leaf
     has 1); a node whose children take shape g k_g times has
     prod_g C(below[g][r] + k_g - 1, k_g) with root label r.  Inclusion and
-    exclusion over the values left out gives the count onto all m."""
+    exclusion over the values left out gives the count onto all m.  A root
+    label is at least the shape's height, so each table starts there."""
     tree = build_representing_tree(space)
     m = len(spectrum(space)) - 1
     shapes = node_codes(tree, "unlabeled")
     below = dict.fromkeys({shapes[v] for v in tree.leaves()}, [1] * (m + 2))
+    height = dict.fromkeys(below, 0)
     for v in reversed(tree.internal_nodes()):
         if shapes[v] not in below:
-            exactly = [1] * m  # labelings with root label r = 1..m
-            for g, k in Counter(shapes[c] for c in tree.children[v]).items():
-                b = below[g][1:m + 1]
+            kids = Counter(shapes[c] for c in tree.children[v])
+            h = height[shapes[v]] = 1 + max(map(height.get, kids))
+            exactly = [1] * (m + 1 - h)  # labelings with root label r = h..m
+            for g, k in kids.items():
+                b = below[g][h:m + 1]
                 exactly = list(map(mul, exactly, b if k == 1 else [comb(x + k - 1, k) for x in b]))
-            below[shapes[v]] = [0, *accumulate(exactly, initial=0)]
+            below[shapes[v]] = [0] * (h + 1) + list(accumulate(exactly))
     root = below[shapes[tree.root]]
     return sum((-1) ** (m - j) * comb(m, j) * root[j + 1] for j in range(m + 1))
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import __version__
 from .canonical import MODES, are_isometric, are_weakly_similar, canonical_code
@@ -145,14 +146,14 @@ def _cmd_classify(args, out: _Output) -> int:
     for cid in wanted:
         if cid not in report.classes:
             raise ParseError(f"unknown class {cid!r}")
+    text = out.fmt == "text"
     lines = []
     classes = {}
     for cid in wanted:
         verdict = report.classes[cid]
-        cert = to_plain(verdict.certificate)
-        lines.append(
-            f"{cid:28s} {'yes' if verdict.member else 'no':3s} {json.dumps(cert)}"
-        )
+        if text:
+            cert = json.dumps(to_plain(verdict.certificate))
+            lines.append(f"{cid:28s} {'yes' if verdict.member else 'no':3s} {cert}")
         classes[cid] = {"member": verdict.member, "certificate": verdict.certificate}
     obj = {
         "points": report.points,
@@ -160,7 +161,7 @@ def _cmd_classify(args, out: _Output) -> int:
         "classes": classes,
         "extras": report.extras,
     }
-    if not args.class_id:
+    if text and not args.class_id:
         lines.append("extras " + json.dumps(to_plain(report.extras)))
     out.emit(lines, obj)
     return 0
@@ -353,7 +354,10 @@ def _cmd_fingerprint(args, out: _Output) -> int:
 # --------------------------------------------------------------- parser
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: each
+    ``parse_args`` makes a fresh namespace, and nothing here mutates it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"

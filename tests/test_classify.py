@@ -330,6 +330,13 @@ class TestShapeSpectrum:
                     shape_spectrum_oracle(space)
                 )
 
+    def test_caterpillar_counts_one(self):
+        # height 199 = m: every shape's table starts at its height, the
+        # root's at the last spectrum value
+        n = 200
+        dist = [[Fraction(max(i, j) * (i != j)) for j in range(n)] for i in range(n)]
+        assert shape_spectrum_labelings(Space([f"c{i}" for i in range(n)], dist)) == 1
+
     def test_count_matches_brute_force(self):
         """The recurrence against enumerating every labeling, on every class
         with at most 6 internal nodes and at most 7 points."""

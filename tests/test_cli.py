@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from ultraforest.cli import main
+from ultraforest import __version__
+from ultraforest.classify import CLASS_IDS
+from ultraforest.cli import _build_parser, main
 from ultraforest.core import Space
 from ultraforest.errors import MissingLeafChild, NotUltrametricGenerating
 from ultraforest.formats import (
@@ -794,3 +796,63 @@ class TestOutputPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def run_to_exit(capsys, argv):
+    """``run`` for an argv that may also end in SystemExit (usage errors,
+    ``--version``)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process; no call may leave
+    anything behind for the next one."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_one_class_then_the_full_table(self, capsys, iso_file):
+        code, out, err = run(capsys, ["classify", iso_file, "--class", "strictly_binary"])
+        assert (code, len(out.splitlines())) == (0, 1)
+        code, out, err = run(capsys, ["classify", iso_file])
+        assert code == 0
+        names = [line.split()[0] for line in out.splitlines()]
+        assert names == [*CLASS_IDS, "extras"] and len(CLASS_IDS) == 14
+
+    def test_json_to_a_file_then_text_to_stdout(self, capsys, tmp_path, iso_file):
+        target = tmp_path / "result.json"
+        code, out, err = run(capsys, ["validate", "--format", "json", "--out", str(target), iso_file])
+        assert (code, out) == (0, "")
+        assert json.loads(target.read_text())["points"] == 3
+        code, out, err = run(capsys, ["validate", iso_file])
+        assert (code, out, err) == (0, "valid: 3 points, spectrum {0, 1, 2}\n", "")
+
+    @pytest.mark.parametrize(
+        "first, first_code",
+        [(["no-such-command"], 2), (["hereditary", "verify", "nonsense"], 2), (["--version"], 0)],
+    )
+    def test_exit_through_system_exit_then_a_valid_call(self, capsys, iso_file, first, first_code):
+        code, out, err = run_to_exit(capsys, first)
+        assert code == first_code
+        assert out == (f"{__version__}\n" if first_code == 0 else "")
+        code, out, err = run(capsys, ["validate", iso_file])
+        assert (code, out, err) == (0, "valid: 3 points, spectrum {0, 1, 2}\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--format", "json"],
+            ["convert", "--to", "unrooted", "--dot"],
+            ["fingerprint", "--mode", "rank_labeled"],
+            ["audit", "--max-n", "x"],
+            ["classify", "--class", "nonsense"],
+        ],
+    )
+    def test_same_argv_twice_gives_the_same_result(self, capsys, fig_file, argv):
+        first = run_to_exit(capsys, [*argv, fig_file])
+        assert run_to_exit(capsys, [*argv, fig_file]) == first
