@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Collection, Sequence
 
 from .core import Space, spectrum
 from .errors import FormatMismatch
@@ -45,6 +45,48 @@ def codes_from_tokens(tree: RootedTree, tokens: Sequence[str]) -> tuple[str, ...
     for v in reversed(tree.preorder()):
         code[v] = tokens[v] + "(" + ",".join(sorted(code[c] for c in tree.children[v])) + ")"
     return tuple(code)
+
+
+def _subspace_rank_codes(tree: RootedTree) -> Callable[[Collection[str]], str]:
+    """The map from a nonempty subset S of the tree's points to the
+    ``rank_labeled`` code of the subspace on S, built without the subspace.
+
+    d(x, y) is the label of the lowest common ancestor, so the tree of X|S
+    is this tree cut down to S: a node stays when S meets at least two of
+    its children, keeping its label, and a node S meets once is replaced by
+    the node below it.  The kept labels are then ranked densely, as
+    ``node_codes`` ranks a whole tree, so the string is exactly
+    ``canonical_code(build_representing_tree(restrict(space, S)),
+    "rank_labeled")``.  Equal strings mean weakly similar subspaces.
+    """
+    children, points = tree.children, tree.points
+    rank = {l: i for i, l in enumerate(sorted(set(tree.labels)))}
+    ranks = [rank[l] for l in tree.labels]
+    leaf_codes = ["0()" if not ch else "" for ch in children]
+    nodes = range(tree.n_nodes - 1, -1, -1)  # every child before its parent
+
+    def code(subset: Collection[str]) -> str:
+        top = [-1] * len(ranks)  # the node standing for v in the cut tree, -1 if S misses v
+        kept = []
+        for v in nodes:
+            ch = children[v]
+            if not ch:
+                if points[v] in subset:
+                    top[v] = v
+                continue
+            met = [top[c] for c in ch if top[c] >= 0]
+            if len(met) > 1:
+                top[v] = v
+                kept.append((v, met))
+            elif met:
+                top[v] = met[0]
+        token = {r: str(i) for i, r in enumerate(sorted({ranks[v] for v, _ in kept}), 1)}
+        out = leaf_codes[:]
+        for v, met in kept:
+            out[v] = token[ranks[v]] + "(" + ",".join(sorted([out[c] for c in met])) + ")"
+        return out[top[0]]
+
+    return code
 
 
 def canonical_code(tree: RootedTree, mode: str = "labeled") -> str:

@@ -233,11 +233,12 @@ def no_equilateral_triangle(space: Space) -> bool:
 
 def hamilton_oracle_strictly_binary(space: Space) -> bool:
     """Every subset of >= 3 points must admit a Hamilton cycle with exactly
-    two edges of maximal weight.  Exhaustive; limited to 7 points."""
+    two edges of maximal weight.  Exhaustive; limited to 7 points.  Compares
+    the integer distance ranks, which order as the distances do."""
     n = len(space)
     if n > HAMILTON_ORACLE_LIMIT:
         raise TooLarge("hamilton oracle", n, HAMILTON_ORACLE_LIMIT)
-    d = space.dist
+    d = rank_matrix(space)
     idx = range(n)
     for size in range(3, n + 1):
         for subset in combinations(idx, size):
@@ -251,8 +252,7 @@ def hamilton_oracle_strictly_binary(space: Space) -> bool:
                 weights = [
                     d[cycle[i]][cycle[(i + 1) % size]] for i in range(size)
                 ]
-                top = max(weights)
-                if sum(1 for w in weights if w == top) == 2:
+                if weights.count(max(weights)) == 2:
                     found = True
                     break
             if not found:

@@ -135,7 +135,7 @@ def _cmd_tree(args, out: _Output) -> int:
         out.write(tree_to_dot(tree))
         return 0
     obj = tree_to_json_obj(tree)
-    out.emit([json.dumps(obj, indent=2)], obj)
+    out.emit([json.dumps(obj, indent=2)] if out.fmt == "text" else [], obj)
     return 0
 
 
@@ -273,7 +273,7 @@ def _cmd_convert(args, out: _Output) -> int:
         out.write((tree_to_dot if target == "tree" else unrooted_to_dot)(value))
     else:
         obj = (tree_to_json_obj if target == "tree" else unrooted_to_json_obj)(value)
-        out.emit([json.dumps(obj, indent=2)], obj)
+        out.emit([json.dumps(obj, indent=2)] if out.fmt == "text" else [], obj)
     return 0
 
 

@@ -338,6 +338,24 @@ def hereditary_by_deletion_lattice(space: Space, member) -> bool:
     return True
 
 
+def counterexample_candidates(spaces, member) -> int:
+    """Candidates the plain counterexample walk examines: each space in
+    turn, then, for a space that satisfies ``member``, each subset of two
+    to |X| - 1 points, smallest first in ``combinations`` order, rebuilt
+    and tested, up to and including the first one that fails."""
+    examined = 0
+    for space in spaces:
+        examined += 1
+        if not member(space):
+            continue
+        for size in range(2, len(space)):
+            for subset in combinations(space.points, size):
+                examined += 1
+                if not member(restrict(space, subset)):
+                    return examined
+    return examined
+
+
 def shape_spectrum_labelings_brute(space: Space) -> int:
     """Distinct labeled trees among all strictly decreasing labelings of the
     space's tree shape onto every positive spectrum value, by enumeration."""

@@ -5,13 +5,14 @@ from hypothesis import given, strategies as st
 
 from ultraforest.canonical import (
     MODES,
+    _subspace_rank_codes,
     are_isometric,
     are_weakly_similar,
     canonical_code,
     count_self_isometries,
     node_codes,
 )
-from ultraforest.core import Space, spectrum
+from ultraforest.core import Space, restrict, spectrum
 from ultraforest.errors import FormatMismatch
 from ultraforest.gen import enumerate_spaces, random_space
 from ultraforest.tree import build_representing_tree
@@ -71,6 +72,45 @@ def _permuted_copy(space, seed):
     pts = [names[space.points[i]] for i in order]
     dist = [[space.dist[i][j] for j in order] for i in order]
     return Space(pts, dist)
+
+
+def _rebuilt_code(space, subset):
+    return canonical_code(_tree(restrict(space, subset)), "rank_labeled")
+
+
+class TestSubspaceRankCodes:
+    def test_equals_the_rebuilt_subspace_on_every_small_subset(self):
+        subsets = classes = 0
+        for n in range(2, 7):
+            for space in enumerate_spaces(n):
+                classes += 1
+                code = _subspace_rank_codes(_tree(space))
+                for size in range(2, n + 1):
+                    for subset in combinations(space.points, size):
+                        subsets += 1
+                        assert code(frozenset(subset)) == _rebuilt_code(space, subset)
+        assert (subsets, classes) == (5725, 119)
+
+    def test_whole_space_is_the_tree_code(self, figure16):
+        code = _subspace_rank_codes(_tree(figure16))
+        assert code(figure16.points) == canonical_code(_tree(figure16), "rank_labeled")
+
+    def test_dropped_labels_are_reranked(self, isosceles):
+        # {a, b} keeps only the label 1 of the tree 2(0(),1(0(),0()))
+        code = _subspace_rank_codes(_tree(isosceles))
+        assert code({"a", "b"}) == code({"a", "c"}) == "1(0(),0())"
+        assert code({"a"}) == "0()"
+
+    @given(
+        st.integers(min_value=2, max_value=20),
+        st.integers(min_value=0, max_value=300),
+        st.data(),
+    )
+    def test_equals_the_rebuilt_subspace_on_random_spaces(self, n, seed, data):
+        space = random_space(n, seed)
+        code = _subspace_rank_codes(_tree(space))
+        subset = data.draw(st.sets(st.sampled_from(space.points), min_size=2))
+        assert code(subset) == _rebuilt_code(space, subset)
 
 
 class TestIsometry:

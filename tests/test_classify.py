@@ -184,11 +184,14 @@ class TestMatrixOracles:
             hamilton_oracle_strictly_binary(random_space(8, 0))
 
     def test_hamilton_matches_binary_structure(self):
-        for n in range(2, 6):
+        spaces = 0
+        for n in range(2, 8):
             for space in enumerate_spaces(n):
+                spaces += 1
                 assert hamilton_oracle_strictly_binary(space) == bool(
                     is_strictly_binary(_tree(space))
                 )
+        assert spaces == 587
 
     def test_ballean_matches_tree(self, figure16):
         assert brute_force_ballean(figure16) == all_balls(figure16)

@@ -6,13 +6,14 @@ import random
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ultraforest import __version__
-from ultraforest.classify import CLASS_IDS
+from ultraforest.classify import CLASS_IDS, membership
 from ultraforest.cli import _build_parser, main
 from ultraforest.core import Space
 from ultraforest.errors import MissingLeafChild, NotUltrametricGenerating
@@ -24,9 +25,11 @@ from ultraforest.formats import (
     tree_to_json,
     unrooted_to_json,
 )
-from ultraforest.gen import random_space, random_unrooted
+from ultraforest.gen import enumerate_spaces, random_space, random_unrooted
 from ultraforest.tree import build_representing_tree, tree_to_space
 from ultraforest.unrooted import UnrootedTree, space_from_unrooted, unrooted_from_representing
+
+from .oracles import counterexample_candidates
 
 
 @pytest.fixture
@@ -106,6 +109,16 @@ class TestTree:
         code, out, err = run(capsys, ["tree", "--dot", iso_file])
         assert code == 0
         assert out.startswith("digraph")
+
+    @pytest.mark.parametrize(
+        "argv", [["tree"], ["convert", "--to", "tree"], ["convert", "--to", "unrooted"]]
+    )
+    def test_text_and_json_formats_print_the_same_json(self, capsys, fig_file, argv):
+        code, text, err = run(capsys, [*argv, fig_file])
+        assert (code, err) == (0, "")
+        code, as_json, err = run(capsys, [*argv, "--format", "json", fig_file])
+        assert (code, err) == (0, "")
+        assert as_json == text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestClassify:
@@ -636,6 +649,121 @@ class TestCanonicalOutput:
 
 
 class TestHereditary:
+    # sha256 of the stdout of ``hereditary verify CLASS --max-n 7`` and
+    # ``hereditary counterexample CLASS --max-n 6``, text then JSON: they pin
+    # every verdict and witness of both sweeps byte for byte
+    SWEEP_DIGESTS = {
+        "gomory_hu_extremal": (
+            "c0b4ec21f0b1f7253dc4b4090d2ede0d3b7416b086b091f5fb3c1a8b47bba79f",
+            "cc55c87c8d8759e4eba65d8ce04db272906508b5cccc2b0103b4c8bd612002a1",
+            "93fd5d9d5f07c30fa8363141d7c5db628a711204ee81624e231abafb4a8f0dd8",
+            "4687dce648279cf43f332f7ce17e47753a33bc4cb3c4e7e250eab4d3758c1df5",
+        ),
+        "injective_labels": (
+            "c0b4ec21f0b1f7253dc4b4090d2ede0d3b7416b086b091f5fb3c1a8b47bba79f",
+            "fd47a82d20eff12e7c9f9903ed34965f48356c58ede6a52930c4c17559eb8244",
+            "93fd5d9d5f07c30fa8363141d7c5db628a711204ee81624e231abafb4a8f0dd8",
+            "46775a1680d26ebd9848dc6841867fa1b550e0b0ec92185a163b0bfec472606d",
+        ),
+        "strictly_binary": (
+            "c0b4ec21f0b1f7253dc4b4090d2ede0d3b7416b086b091f5fb3c1a8b47bba79f",
+            "d7ea080770b1be5f09d5756e36b2a8aa15cb2f3d9df81937c2b945a9ab5f70e4",
+            "93fd5d9d5f07c30fa8363141d7c5db628a711204ee81624e231abafb4a8f0dd8",
+            "be567d26507f210fdcb5057003d2cdec9b4b5948409f3ce283e0aa3b19cd41e5",
+        ),
+        "strictly_nary": (
+            "18597a5607720c9447e761e6bc84777fae44fcc0eee04d354921a6535089b3a6",
+            "6bc82920901ea393fc90ebcfd91c5f3d5eff0187463c9a370315ef06abe7460d",
+            "a4517198e2f91ea948e231cfdd1bac1ee612492f7a7027d080f298728423eff8",
+            "50ae75c80f7203cfdaef87d2a730739fd920d6ca2665119b7ce23a9a00f649dd",
+        ),
+        "rigid": (
+            "c0b4ec21f0b1f7253dc4b4090d2ede0d3b7416b086b091f5fb3c1a8b47bba79f",
+            "972e474a3297a39b6fb069771a65d54ca59d8f3f00011ba0a3b382d6eabea43e",
+            "93fd5d9d5f07c30fa8363141d7c5db628a711204ee81624e231abafb4a8f0dd8",
+            "8a159d9df52e61d45f3b0c0467bdddf8315cc13503ca237a5d8e8936ca27f863",
+        ),
+        "inner_chain": (
+            "c0b4ec21f0b1f7253dc4b4090d2ede0d3b7416b086b091f5fb3c1a8b47bba79f",
+            "cb33a9d53ddb964c4211577fae437a17b40356dca7093dcfc01e56164002d807",
+            "93fd5d9d5f07c30fa8363141d7c5db628a711204ee81624e231abafb4a8f0dd8",
+            "0889bb824b4f0edcbea4c72851461f446bb626090ff0d0b1970ff0a36d8eb1ec",
+        ),
+        "inner_chain_equal_tail": (
+            "23ffc26ce8bd63866e479ae43712e032c380360e35e9e34de0b1869fec2aed5c",
+            "252ae6b374fcc609ab2f6cdc6b81a5261fdacb52962f76392223f508dc44d62f",
+            "b3f8df98a0df739ec999c141d23a2def43abd6e19fcb2783592873ac056c820c",
+            "52414364e788d59a867ad764cf6ad9d7000af83b019990d5d1bbede35a7e83d4",
+        ),
+        "shape_spectrum_determined": (
+            "23ffc26ce8bd63866e479ae43712e032c380360e35e9e34de0b1869fec2aed5c",
+            "9f607dfdd272d185bcf6a85b6eb92b24a8be6e49ad16811b9d6eba1c8b4db5a0",
+            "b3f8df98a0df739ec999c141d23a2def43abd6e19fcb2783592873ac056c820c",
+            "13af1400416dd243ffe440706298a257890b6cd99f06c2504888dcbae910cf3c",
+        ),
+        "homogeneous": (
+            "0f7bb87357fbb8bb470e4c7928d22d7e963834bc239018803744e0a6c8426180",
+            "5993934faead928fb5dc434fadca5274478a0376f37d96e59fc0fd4852072794",
+            "2b3a28ff55d9f2ae17cf13f84b04fac68addbf547e06f0f5ce49079b3b9e94a7",
+            "4e23cb694b9a9a5156cbe976c510837f43d085cff5e1f5ff16688a140fa50d35",
+        ),
+        "leaves_same_level": (
+            "0f7bb87357fbb8bb470e4c7928d22d7e963834bc239018803744e0a6c8426180",
+            "a542effe3087e6e467da3f7f6f219373f8985da6c4b2ab2279584ab886dfb634",
+            "2b3a28ff55d9f2ae17cf13f84b04fac68addbf547e06f0f5ce49079b3b9e94a7",
+            "0c1822952fffee5d9f5777f0be53a81c1c57f22c288e25dc40eb9d9d4d4ecd52",
+        ),
+        "labels_same_level": (
+            "1c80e53df43e8264a2acf1a9784be903e24ce397b335f52dea19fa7851a20c61",
+            "9a8e5949070aae9c4d5f4361b90d7ce71c25275b5b9962c277f1ab4ab1a2ebc0",
+            "cbf3538d35a1a71398848a85781d29c737cc1c4c986f3931edbaf09777fa311a",
+            "3d36a2798f9749063f0aa01aa9d2d3835cd1572aa17cee5d2c9bf39cda915610",
+        ),
+        "perfect_nary": (
+            "0f7bb87357fbb8bb470e4c7928d22d7e963834bc239018803744e0a6c8426180",
+            "82ceec4df95a21f0a0dbbdfa2420411c4078bf78b668d1c2255cfbd4d46926cb",
+            "2b3a28ff55d9f2ae17cf13f84b04fac68addbf547e06f0f5ce49079b3b9e94a7",
+            "9942084cf4541abc88b3fc2f65c84387b305dfe9ba5e2aa65d3e8592e14f051e",
+        ),
+        "ball_preserving": (
+            "c0b4ec21f0b1f7253dc4b4090d2ede0d3b7416b086b091f5fb3c1a8b47bba79f",
+            "07d05ada94a2875d9a57f4b9d15dc80d8603d2c9999ac0ed36bf866d611ad05d",
+            "93fd5d9d5f07c30fa8363141d7c5db628a711204ee81624e231abafb4a8f0dd8",
+            "21346278f8c1872f18f4254d8605e2a4767b611322be1f3a9cecd7f87b593223",
+        ),
+        "unrooted_generated": (
+            "b7a60928f61a16534a4490157f0f6297d73e92258501a64a2528b2ccdf0d29b0",
+            "631ec96a0e5152b872515705ceed44db9723ea9bb06d2d8b288d2169dd5edb9b",
+            "0652b389b3a2f0543b40383385221c4b9f397c19dc36cdbdf63b2b20e229ba0b",
+            "c7d6ebcc4082d4d973c0b2151322d0e9eb768663144d50e862280e470fa65def",
+        ),
+    }
+
+    @pytest.mark.parametrize("class_id", CLASS_IDS)
+    def test_sweep_output_is_pinned(self, capsys, class_id):
+        got = []
+        for action, max_n in (("verify", "7"), ("counterexample", "6")):
+            for fmt in ("text", "json"):
+                argv = ["hereditary", action, class_id, "--max-n", max_n, "--format", fmt]
+                code, out, err = run(capsys, argv)
+                assert code in (0, 1) and err == ""
+                got.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(got) == self.SWEEP_DIGESTS[class_id]
+
+    @pytest.mark.parametrize("class_id", CLASS_IDS)
+    def test_smallest_budget_is_the_plain_walk(self, capsys, class_id):
+        """A recalled verdict is charged like an evaluated one: the search
+        completes on exactly the candidates the rebuild-every-subset walk
+        examines, and one fewer exhausts it."""
+        spaces = [space for n in range(3, 7) for space in enumerate_spaces(n)]
+        need = counterexample_candidates(spaces, partial(membership, class_id))
+        argv = ["hereditary", "counterexample", class_id, "--max-n", "6", "--budget"]
+        code, out, err = run(capsys, [*argv, str(need)])
+        assert code in (0, 1) and err == ""
+        code, out, err = run(capsys, [*argv, str(need - 1)])
+        assert (code, out) == (2, "")
+        assert err == f"error: search budget of {need - 1} instances exhausted before a verdict\n"
+
     def test_verify_true(self, capsys):
         code, out, err = run(
             capsys, ["hereditary", "verify", "strictly_binary", "--max-n", "4"]
